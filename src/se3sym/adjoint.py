@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .algebra import DIM, SE3, AlgebraElement, bracket, basis_element
+from .poly import SparsePoly
 
 # ---------------------------------------------------------------------------
 # trig polynomials: rational coefficients in the symbols s, C, S with the
@@ -25,63 +26,26 @@ from .algebra import DIM, SE3, AlgebraElement, bracket, basis_element
 # ---------------------------------------------------------------------------
 
 
-class TrigPoly:
+class TrigPoly(SparsePoly):
     """Polynomial in s, C=cos(s), S=sin(s), reduced modulo C^2 + S^2 = 1."""
 
-    __slots__ = ("terms",)
+    VARIABLES = ("s", "C", "S")
 
-    def __init__(self, terms: Optional[Dict[Tuple[int, int, int], Fraction]] = None):
-        reduced: Dict[Tuple[int, int, int], Fraction] = {}
-        for key, value in (terms or {}).items():
-            _accumulate_reduced(reduced, key, Fraction(value))
-        self.terms = {k: v for k, v in reduced.items() if v != 0}
+    __slots__ = ()
 
-    @classmethod
-    def constant(cls, value) -> "TrigPoly":
-        return cls({(0, 0, 0): Fraction(value)})
+    @staticmethod
+    def _accumulate(store, key, value) -> None:
+        """Add value * s^a C^b S^c after rewriting C^2 -> 1 - S^2."""
+        a, b, c = key
+        if b >= 2:
+            TrigPoly._accumulate(store, (a, b - 2, c), value)
+            TrigPoly._accumulate(store, (a, b - 2, c + 2), -value)
+        else:
+            SparsePoly._accumulate(store, key, value)
 
     @classmethod
     def symbol(cls, name: str) -> "TrigPoly":
-        key = {"s": (1, 0, 0), "C": (0, 1, 0), "S": (0, 0, 1)}[name]
-        return cls({key: Fraction(1)})
-
-    def __add__(self, other) -> "TrigPoly":
-        other = _as_trig(other)
-        merged = dict(self.terms)
-        for key, value in other.terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + value
-        return TrigPoly(merged)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TrigPoly":
-        return TrigPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other) -> "TrigPoly":
-        return self + (-_as_trig(other))
-
-    def __rsub__(self, other) -> "TrigPoly":
-        return _as_trig(other) + (-self)
-
-    def __mul__(self, other) -> "TrigPoly":
-        other = _as_trig(other)
-        prod: Dict[Tuple[int, int, int], Fraction] = {}
-        for (a1, a2, a3), va in self.terms.items():
-            for (b1, b2, b3), vb in other.terms.items():
-                key = (a1 + b1, a2 + b2, a3 + b3)
-                prod[key] = prod.get(key, Fraction(0)) + va * vb
-        return TrigPoly(prod)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TrigPoly) and self.terms == _as_trig(other).terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return cls.variable(name)
 
     def evaluate(self, sigma: float) -> float:
         c, s = math.cos(sigma), math.sin(sigma)
@@ -89,53 +53,6 @@ class TrigPoly:
         for (es, ec, esin), value in self.terms.items():
             total += float(value) * sigma**es * c**ec * s**esin
         return total
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=lambda k: (sum(k), k), reverse=True):
-            value = self.terms[key]
-            factors = []
-            for name, exp in zip(("s", "C", "S"), key):
-                if exp == 1:
-                    factors.append(name)
-                elif exp > 1:
-                    factors.append(f"{name}^{exp}")
-            mono = "*".join(factors)
-            if not mono:
-                body = str(abs(value))
-            elif abs(value) == 1:
-                body = mono
-            else:
-                body = f"{abs(value)}*{mono}"
-            sign = "-" if value < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = f"-{first_body}" if first_sign == "-" else first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
-
-    __repr__ = __str__
-
-
-def _accumulate_reduced(store, key, value) -> None:
-    """Add value * s^a C^b S^c after rewriting C^2 -> 1 - S^2."""
-    if value == 0:
-        return
-    a, b, c = key
-    if b >= 2:
-        _accumulate_reduced(store, (a, b - 2, c), value)
-        _accumulate_reduced(store, (a, b - 2, c + 2), -value)
-        return
-    store[key] = store.get(key, Fraction(0)) + value
-
-
-def _as_trig(value) -> TrigPoly:
-    if isinstance(value, TrigPoly):
-        return value
-    return TrigPoly.constant(value)
 
 
 @dataclass(frozen=True)
@@ -221,7 +138,7 @@ def adjoint_closed_form(i: int) -> TrigPolyMatrix:
         if any(any(v != 0 for v in row) for row in ad3):
             raise AssertionError("translation generator is not nilpotent of order 3")
         s = TrigPoly.symbol("s")
-        entry = lambda r, c: _as_trig(Fraction(int(r == c))) - s * ad[r][c] + (
+        entry = lambda r, c: TrigPoly.constant(int(r == c)) - s * ad[r][c] + (
             s * s * Fraction(1, 2)
         ) * ad2[r][c]
     else:
@@ -231,8 +148,8 @@ def adjoint_closed_form(i: int) -> TrigPolyMatrix:
         ):
             raise AssertionError("rotation generator does not satisfy ad^3 = -ad")
         sin = TrigPoly.symbol("S")
-        one_minus_cos = _as_trig(1) - TrigPoly.symbol("C")
-        entry = lambda r, c: _as_trig(Fraction(int(r == c))) - sin * ad[r][c] + (
+        one_minus_cos = TrigPoly.constant(1) - TrigPoly.symbol("C")
+        entry = lambda r, c: TrigPoly.constant(int(r == c)) - sin * ad[r][c] + (
             one_minus_cos
         ) * ad2[r][c]
     # exp(-s ad) has images in columns; transpose to the row convention.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -105,13 +106,22 @@ def _parse_vector(text: str, flag: str) -> AlgebraElement:
                 values.append(Fraction(int(piece)))
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"{flag} has a malformed entry {piece!r}") from None
+        if not _is_finite(values[-1]):
+            raise UsageError(f"{flag} has a non-finite entry {piece!r}")
     if exact:
         return AlgebraElement.exact(values)
     return AlgebraElement.numeric([float(v) for v in values])
 
 
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
 def _print_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _run_table(flags: Dict) -> int:
@@ -132,6 +142,8 @@ def _run_adjoint(flags: Dict) -> int:
     gen = flags["gen"]
     if not 1 <= gen <= DIM:
         raise UsageError("--gen must lie in 1..6")
+    if flags["param"] is not None and not math.isfinite(flags["param"]):
+        raise UsageError(f"--param must be finite, got {flags['param']!r}")
     matrix = closed_form(gen)
     payload = {
         "generator": gen,

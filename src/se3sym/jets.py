@@ -21,9 +21,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import exact_solve
+from .poly import Monomial, SparsePoly
 
 VARIABLES: Tuple[str, ...] = (
     "x", "y", "z", "u",
@@ -34,234 +36,87 @@ VARIABLES: Tuple[str, ...] = (
 NVARS = len(VARIABLES)
 _INDEX: Dict[str, int] = {name: i for i, name in enumerate(VARIABLES)}
 
-_JET_ORDER = {name: name.count("_") and len(name.split("_")[1]) for name in VARIABLES}
-for _atom in ("f", "f'", "f''"):
-    _JET_ORDER[_atom] = 0
-
 _ZERO_MONOMIAL = (0,) * NVARS
-
-Monomial = Tuple[int, ...]
 
 
 class OrderOverflowError(ValueError):
     """Total derivative would create a jet coordinate beyond second order."""
 
 
-def _monomial_str(mono: Monomial) -> str:
-    factors = []
-    for name, exp in zip(VARIABLES, mono):
-        if exp == 1:
-            factors.append(name)
-        elif exp > 1:
-            factors.append(f"{name}^{exp}")
-    return "*".join(factors) if factors else "1"
+def _bump(mono: Monomial, *changes: Tuple[int, int]) -> Monomial:
+    """Exponent tuple with each (index, delta) change applied."""
+    out = list(mono)
+    for idx, delta in changes:
+        out[idx] += delta
+    return tuple(out)
 
 
-class JetPolynomial:
-    """Sparse polynomial with Fraction coefficients in canonical form.
+class JetPolynomial(SparsePoly):
+    """Sparse polynomial over the jet coordinates and source atoms."""
 
-    Terms are stored as a dict from exponent tuples to nonzero Fractions;
-    printing orders monomials by total degree, then by exponent tuple, so
-    equal polynomials always print identically.
-    """
+    VARIABLES = VARIABLES
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Dict[Monomial, Fraction]] = None):
-        self.terms: Dict[Monomial, Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff != 0:
-                self.terms[mono] = self.terms.get(mono, Fraction(0)) + coeff
-        self.terms = {m: c for m, c in self.terms.items() if c != 0}
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "JetPolynomial":
-        return cls()
-
-    @classmethod
-    def constant(cls, value) -> "JetPolynomial":
-        return cls({_ZERO_MONOMIAL: Fraction(value)})
-
-    @classmethod
-    def variable(cls, name: str) -> "JetPolynomial":
-        mono = [0] * NVARS
-        mono[_INDEX[name]] = 1
-        return cls({tuple(mono): Fraction(1)})
-
-    # -- ring structure ----------------------------------------------------
-
-    def __add__(self, other) -> "JetPolynomial":
-        other = _as_poly(other)
-        merged = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            merged[mono] = merged.get(mono, Fraction(0)) + coeff
-        return JetPolynomial(merged)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "JetPolynomial":
-        return JetPolynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other) -> "JetPolynomial":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "JetPolynomial":
-        return _as_poly(other) + (-self)
-
-    def __mul__(self, other) -> "JetPolynomial":
-        other = _as_poly(other)
-        prod: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(m1, m2))
-                prod[key] = prod.get(key, Fraction(0)) + c1 * c2
-        return JetPolynomial(prod)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "JetPolynomial":
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result = JetPolynomial.constant(1)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = JetPolynomial.constant(other)
-        return isinstance(other, JetPolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    __slots__ = ()
 
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 
-    def jet_order(self) -> int:
-        order = 0
-        for mono in self.terms:
-            for idx, exp in enumerate(mono):
-                if exp:
-                    order = max(order, _JET_ORDER[VARIABLES[idx]])
-        return order
-
     def uses(self, names: Iterable[str]) -> bool:
         wanted = {_INDEX[n] for n in names}
         return any(mono[i] for mono in self.terms for i in wanted)
-
-    def coefficient_of(self, name: str, power: int = 1) -> "JetPolynomial":
-        """Polynomial coefficient of name**power (other variables kept)."""
-        idx = _INDEX[name]
-        out = {}
-        for mono, coeff in self.terms.items():
-            if mono[idx] == power:
-                reduced = list(mono)
-                reduced[idx] = 0
-                out[tuple(reduced)] = coeff
-        return JetPolynomial(out)
 
     # -- calculus ----------------------------------------------------------
 
     def partial(self, name: str) -> "JetPolynomial":
         """Formal partial derivative; u-derivatives see the source atoms."""
         idx = _INDEX[name]
+        chain = _SOURCE_CHAIN if name == "u" else ()
+        if chain and self.uses(["f''"]):
+            raise OrderOverflowError("source atom derivatives stop at order two")
         out: Dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
             if mono[idx]:
-                reduced = list(mono)
-                reduced[idx] -= 1
-                key = tuple(reduced)
-                out[key] = out.get(key, Fraction(0)) + coeff * mono[idx]
-        result = JetPolynomial(out)
-        if name == "u":
-            for atom, derived in (("f", "f'"), ("f'", "f''")):
-                aidx = _INDEX[atom]
-                for mono, coeff in self.terms.items():
-                    if mono[aidx]:
-                        bumped = list(mono)
-                        bumped[aidx] -= 1
-                        bumped[_INDEX[derived]] += 1
-                        result = result + JetPolynomial(
-                            {tuple(bumped): coeff * mono[aidx]}
-                        )
-            if self.uses(["f''"]) and any(m[_INDEX["f''"]] for m in self.terms):
-                raise OrderOverflowError("source atom derivatives stop at order two")
-        return result
+                self._accumulate(out, _bump(mono, (idx, -1)), coeff * mono[idx])
+            for atom, derived in chain:
+                if mono[atom]:
+                    key = _bump(mono, (atom, -1), (derived, 1))
+                    self._accumulate(out, key, coeff * mono[atom])
+        return self._canonical(out)
 
     def total_derivative(self, direction: str) -> "JetPolynomial":
         """Total derivative along x, y, or z on jets of order at most one."""
         if direction not in ("x", "y", "z"):
             raise ValueError(f"direction must be x, y or z, got {direction!r}")
-        out = JetPolynomial.zero()
+        out: Dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
             for idx, exp in enumerate(mono):
                 if not exp:
                     continue
-                name = VARIABLES[idx]
-                reduced = list(mono)
-                reduced[idx] -= 1
-                base = JetPolynomial({tuple(reduced): coeff * exp})
-                out = out + base * _derivative_of_variable(name, direction, mono)
-        return out
+                bumps = _derivative_of_variable(VARIABLES[idx], direction, mono)
+                if bumps is not None:
+                    self._accumulate(out, _bump(mono, (idx, -1), *bumps), coeff * exp)
+        return self._canonical(out)
 
     def substitute(self, name: str, replacement: "JetPolynomial") -> "JetPolynomial":
         """Replace every occurrence of a variable by a polynomial."""
         idx = _INDEX[name]
-        out = JetPolynomial.zero()
+        powers = [self.constant(1)]
+        out: Dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
             power = mono[idx]
-            reduced = list(mono)
-            reduced[idx] = 0
-            term = JetPolynomial({tuple(reduced): coeff})
-            if power:
-                term = term * replacement**power
-            out = out + term
-        return out
-
-    # -- printing and parsing ----------------------------------------------
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        ordered = sorted(self.terms, key=lambda m: (sum(m), m), reverse=True)
-        parts = []
-        for mono in ordered:
-            coeff = self.terms[mono]
-            body = _monomial_str(mono)
-            if body == "1":
-                text = str(abs(coeff))
-            elif abs(coeff) == 1:
-                text = body
-            else:
-                text = f"{abs(coeff)}*{body}"
-            parts.append(("-" if coeff < 0 else "+", text))
-        sign, text = parts[0]
-        rendered = f"-{text}" if sign == "-" else text
-        for sign, text in parts[1:]:
-            rendered += f" {sign} {text}"
-        return rendered
-
-    __repr__ = __str__
+            while len(powers) <= power:
+                powers.append(powers[-1] * replacement)
+            base = _bump(mono, (idx, -power))
+            for rmono, rcoeff in powers[power].terms.items():
+                self._accumulate(out, tuple(map(add, base, rmono)), coeff * rcoeff)
+        return self._canonical(out)
 
     @classmethod
     def parse(cls, text: str) -> "JetPolynomial":
         return _parse_polynomial(text)
 
 
-def _as_poly(value) -> JetPolynomial:
-    if isinstance(value, JetPolynomial):
-        return value
-    return JetPolynomial.constant(value)
-
+_SOURCE_CHAIN = ((_INDEX["f"], _INDEX["f'"]), (_INDEX["f'"], _INDEX["f''"]))
 
 _FIRST_JETS = {"x": "u_x", "y": "u_y", "z": "u_z"}
 _SECOND_JETS = {
@@ -274,20 +129,21 @@ def _second_jet(a: str, b: str) -> str:
     return _SECOND_JETS[(a, b)] if (a, b) in _SECOND_JETS else _SECOND_JETS[(b, a)]
 
 
-def _derivative_of_variable(name: str, direction: str, context: Monomial) -> JetPolynomial:
+def _derivative_of_variable(
+    name: str, direction: str, context: Monomial
+) -> Optional[Tuple[Tuple[int, int], ...]]:
+    """D_direction(name) as exponent bumps of a monomial; None when it is 0."""
     if name in ("x", "y", "z"):
-        return JetPolynomial.constant(1 if name == direction else 0)
+        return () if name == direction else None
     if name == "u":
-        return JetPolynomial.variable(_FIRST_JETS[direction])
+        return ((_INDEX[_FIRST_JETS[direction]], 1),)
     if name in ("u_x", "u_y", "u_z"):
-        return JetPolynomial.variable(_second_jet(name.split("_")[1], direction))
+        return ((_INDEX[_second_jet(name.split("_")[1], direction)], 1),)
     if name in ("f", "f'"):
         bump = "f'" if name == "f" else "f''"
-        return JetPolynomial.variable(bump) * JetPolynomial.variable(
-            _FIRST_JETS[direction]
-        )
+        return ((_INDEX[bump], 1), (_INDEX[_FIRST_JETS[direction]], 1))
     raise OrderOverflowError(
-        f"total derivative of {_monomial_str(context)} leaves second order"
+        f"total derivative of {JetPolynomial({context: 1})} leaves second order"
     )
 
 
@@ -342,6 +198,8 @@ def _parse_polynomial(text: str) -> JetPolynomial:
             if token.isdigit():
                 value = Fraction(int(token))
                 if idx + 2 < len(tokens) and tokens[idx + 1] == "/" and tokens[idx + 2].isdigit():
+                    if int(tokens[idx + 2]) == 0:
+                        raise ValueError(f"zero denominator in {token}/{tokens[idx + 2]}")
                     value = Fraction(int(token), int(tokens[idx + 2]))
                     idx += 2
                 term = term * JetPolynomial.constant(value)
@@ -415,10 +273,6 @@ class PointVectorField:
             + self.xi3 * p.partial("z")
             + self.phi * p.partial("u")
         )
-
-    @classmethod
-    def from_polynomials(cls, xi1, xi2, xi3, phi) -> "PointVectorField":
-        return cls(_as_poly(xi1), _as_poly(xi2), _as_poly(xi3), _as_poly(phi))
 
     @classmethod
     def parse(cls, spec: str) -> "PointVectorField":
@@ -643,7 +497,7 @@ def solve_phi_for_xi(
         raise ValueError("degree cap must be at least 2")
     if f_mode not in ("zero", "generic"):
         raise ValueError(f"unknown f_mode {f_mode!r}")
-    xi1, xi2, xi3 = (_as_poly(c) for c in xi)
+    xi1, xi2, xi3 = (JetPolynomial.coerce(c) for c in xi)
     for component in (xi1, xi2, xi3):
         if component.uses([n for n in VARIABLES if n not in ("x", "y", "z")]):
             raise ValueError("xi components must be polynomials in x, y, z")
@@ -719,7 +573,8 @@ def solve_phi_for_xi(
 
 
 def field_from_phi(xi: Sequence[JetPolynomial], g: JetPolynomial, h: JetPolynomial) -> PointVectorField:
-    return PointVectorField(_as_poly(xi[0]), _as_poly(xi[1]), _as_poly(xi[2]), g * u + h)
+    xi1, xi2, xi3 = (JetPolynomial.coerce(c) for c in xi)
+    return PointVectorField(xi1, xi2, xi3, g * u + h)
 
 
 # ---------------------------------------------------------------------------

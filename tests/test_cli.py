@@ -63,6 +63,14 @@ def test_adjoint_gen_out_of_range():
     assert status == 2
 
 
+def test_adjoint_rejects_non_finite_param(capsys):
+    for value in ("nan", "inf", "1e400"):
+        status, out = _run(["adjoint", "--gen", "4", "--param", value])
+        assert status == 2
+        assert out == ""
+        assert "--param" in capsys.readouterr().err
+
+
 def test_classify_axis_rotation():
     status, out = _run(["classify", "--vector", "0,0,0,0,0,1"])
     assert status == 0
@@ -89,6 +97,19 @@ def test_classify_malformed_vector():
     assert status == 2
     status, _ = _run(["classify", "--vector", "0,0,0,0,0,0"])
     assert status == 2
+
+
+def test_non_finite_vector_entries_are_usage_errors(capsys):
+    huge_integer = "1" + "0" * 400
+    for argv in (
+        ["classify", "--vector", "1e400,0,0,1,0,0"],
+        ["classify", "--vector", f"{huge_integer},0,0,1,0,0"],
+        ["equiv", "--x", "1,0,0,0,0,0", "--y", "0,0,0,0,0,-1e999"],
+    ):
+        status, out = _run(argv)
+        assert status == 2
+        assert out == ""
+        assert argv[-2] in capsys.readouterr().err
 
 
 def test_equiv_quarter_turn():
@@ -135,8 +156,9 @@ def test_prolong_custom_field():
 
 
 def test_prolong_malformed_field():
-    status, _ = _run(["prolong", "--field", "z;0"])
-    assert status == 2
+    for spec in ("z;0", "1/0;0;0;0"):
+        status, _ = _run(["prolong", "--field", spec])
+        assert status == 2
 
 
 def test_verify_solutions_family():

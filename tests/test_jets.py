@@ -31,6 +31,7 @@ from se3sym.jets import (
     u,
     ONE,
 )
+from se3sym.adjoint import TrigPoly
 from se3sym.algebra import SE3
 
 u_x = JetPolynomial.variable("u_x")
@@ -64,17 +65,49 @@ point_polys = st.lists(
 )
 
 
-@given(point_polys, point_polys, point_polys)
-def test_ring_laws(p, q, r):
+s_sym, C_sym, S_sym = (TrigPoly.symbol(n) for n in ("s", "C", "S"))
+
+trig_polys = st.lists(
+    st.tuples(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2),
+    ),
+    max_size=5,
+).map(
+    lambda entries: sum(
+        (c * s_sym**a * C_sym**b * S_sym**e for c, a, b, e in entries),
+        TrigPoly(),
+    )
+)
+
+# both subclasses of the sparse-polynomial core obey the same ring laws
+ring_triples = st.sampled_from([point_polys, trig_polys]).flatmap(
+    lambda polys: st.tuples(polys, polys, polys)
+)
+
+
+def _in_normal_form(p):
+    """TrigPoly keys carry C-degree at most 1 (C^2 is rewritten as 1 - S^2)."""
+    return not isinstance(p, TrigPoly) or all(key[1] <= 1 for key in p.terms)
+
+
+@given(ring_triples)
+def test_ring_laws(triple):
+    p, q, r = triple
     assert (p + q) + r == p + (q + r)
     assert p + q == q + p
     assert (p * q) * r == p * (q * r)
     assert p * q == q * p
     assert p * (q + r) == p * q + p * r
+    for product in (p, p * q, (p * q) * r, p * (q + r), q * q * q):
+        assert _in_normal_form(product)
 
 
-@given(point_polys, point_polys)
-def test_canonical_form_independent_of_construction_order(p, q):
+@given(ring_triples)
+def test_canonical_form_independent_of_construction_order(triple):
+    p, q, _ = triple
     assert p + q - q == p
     assert str(p + q) == str(q + p)
 
