@@ -214,15 +214,9 @@ class StructureConstants:
                         out.append((i, j, k, self.c[i][j][k]))
         return out
 
-    def as_float_tensor(self) -> np.ndarray:
-        return np.array(
-            [[[float(v) for v in col] for col in row] for row in self.c], dtype=float
-        )
-
 
 SE3 = StructureConstants.rigid_motions()
 _NONZERO = SE3.nonzero_entries()
-SE3_TENSOR = SE3.as_float_tensor()
 
 
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:

@@ -53,6 +53,7 @@ from .optimal import (
     CASE_ALLOWED,
     classify_1d_paper,
     equivalence_search,
+    hyperplane_certificate,
     hyperplane_scan,
     verify_2d_list,
     verify_3d_4d,
@@ -561,6 +562,7 @@ def _claim_three_four_dim() -> List[Claim]:
 
 def _claim_five_dim(samples: int, seed: int) -> Claim:
     scan = hyperplane_scan(samples, seed)
+    certificate = hyperplane_certificate()
     targeted = {}
     for index, name in ((5, "dual_of_x5"), (6, "dual_of_x6")):
         gens = tuple(BASIS[t] for t in range(DIM) if t != index - 1)
@@ -580,9 +582,19 @@ def _claim_five_dim(samples: int, seed: int) -> Claim:
             "min_closure_residual": scan.min_residual,
             "closed_hyperplane_found": scan.found is not None,
             "targeted_hyperplanes": targeted,
+            # keys name the quadric (lam ^ dlam)(X_a, X_b, X_c) by 1-based a,b,c
+            "certificate": {
+                target: {
+                    ",".join(str(t + 1) for t in triple): str(coeff)
+                    for triple, coeff in combo.items()
+                }
+                for target, combo in certificate.combinations.items()
+            },
+            "residual_floor": float(certificate.residual_floor),
             "label": (
-                "consistent with the nonexistence claim; a sampling search "
-                "cannot prove it"
+                "proved by the exact certificate (rational combinations of the "
+                "quadrics of lam ^ dlam give |lam|^2, so no hyperplane is "
+                "closed); the sampling scan is consistent with it"
             ),
         },
     )

@@ -195,6 +195,8 @@ def _parse_polynomial(text: str) -> JetPolynomial:
                 idx += 1
                 expect_factor = True
                 continue
+            if not expect_factor and (token.isdigit() or token in _INDEX):
+                raise ValueError(f"missing '*' before {token!r} in polynomial text")
             if token.isdigit():
                 value = Fraction(int(token))
                 if idx + 2 < len(tokens) and tokens[idx + 1] == "/" and tokens[idx + 2].isdigit():
@@ -216,6 +218,8 @@ def _parse_polynomial(text: str) -> JetPolynomial:
                 expect_factor = False
                 continue
             raise ValueError(f"unexpected token {token!r} in polynomial text")
+        if expect_factor:
+            raise ValueError("polynomial text ends a term without a factor")
         return term, idx
 
     sign = Fraction(1)

@@ -11,6 +11,7 @@ patterns are reachable at all.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from .algebra import (
     is_abelian,
 )
 from .adjoint import AdjointWord, apply_word, omega_norm_sq, translation_dot
+from .linalg import exact_solve_in_span
 
 PATTERN_TOL = 1e-9
 ZERO_TOL = 1e-12
@@ -444,8 +446,6 @@ def verify_3d_4d(a_grid: Sequence) -> List[TableVerdict]:
 # hyperplane (codimension-1) closure scan
 # ---------------------------------------------------------------------------
 
-_STRUCTURE_TENSOR = SE3.as_float_tensor()
-
 
 @dataclass(frozen=True)
 class HyperplaneScan:
@@ -453,6 +453,51 @@ class HyperplaneScan:
     random_samples: int
     min_residual: float
     found: Optional[SubalgebraBasis]
+
+
+# a hyperplane is the kernel of a covector lam; it is a subalgebra exactly
+# when lam ^ dlam = 0 (Frobenius), with dlam(a, b) = -lam([X_a, X_b]).  Each
+# component (lam ^ dlam)(X_a, X_b, X_c), a < b < c, is a quadric in lam.
+Quadric = Dict[Tuple[int, int], Fraction]
+
+
+@functools.lru_cache(maxsize=None)
+def frobenius_quadrics() -> Dict[Tuple[int, int, int], Quadric]:
+    """Nonzero components of lam ^ dlam, keyed by 0-based triples a < b < c.
+
+    Each quadric maps a monomial lam_i*lam_j (i <= j, 0-based) to its exact
+    coefficient in (lam ^ dlam)(a, b, c) =
+    lam_a dlam(b, c) - lam_b dlam(a, c) + lam_c dlam(a, b).
+    """
+    table = {}
+    for a, b, c in itertools.combinations(range(DIM), 3):
+        quadric: Quadric = {}
+        for sign, outer, (i, j) in ((1, a, (b, c)), (-1, b, (a, c)), (1, c, (a, b))):
+            for k in range(DIM):
+                if SE3.c[i][j][k]:
+                    key = (min(outer, k), max(outer, k))
+                    quadric[key] = quadric.get(key, 0) - sign * SE3.c[i][j][k]
+        quadric = {key: value for key, value in quadric.items() if value}
+        if quadric:
+            table[(a, b, c)] = quadric
+    return table
+
+
+def _closure_residuals(lams: np.ndarray) -> np.ndarray:
+    """max |lam ^ dlam| over the quadrics, for each covector row.
+
+    A quadric has at most three terms, so summing them over contiguous
+    coordinate rows is faster than a dense (n, 21) @ (21, 19) product and,
+    unlike that product, runs on one thread instead of waking BLAS threads.
+    """
+    coords = np.ascontiguousarray(lams.T)
+    values = np.array(
+        [
+            sum(float(coeff) * coords[i] * coords[j] for (i, j), coeff in quadric.items())
+            for quadric in frobenius_quadrics().values()
+        ]
+    )
+    return np.abs(values).max(axis=0)
 
 
 def _hyperplane_basis(lam: np.ndarray) -> np.ndarray:
@@ -469,63 +514,92 @@ def _hyperplane_basis(lam: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def _closure_residuals(lams: np.ndarray) -> np.ndarray:
-    """Max |lam([b_i, b_j])| over a kernel basis, for each covector row.
-
-    The kernel of lam is closed under the bracket exactly when the
-    restriction of the 2-form lam([., .]) to it vanishes.
-    """
-    n = lams.shape[0]
-    pivots = np.argmax(np.abs(lams), axis=1)
-    basis = np.zeros((n, DIM - 1, DIM))
-    for pivot in range(DIM):
-        mask = pivots == pivot
-        if not mask.any():
-            continue
-        cols = [i for i in range(DIM) if i != pivot]
-        sub = np.zeros((int(mask.sum()), DIM - 1, DIM))
-        for row_idx, col in enumerate(cols):
-            sub[:, row_idx, col] = 1.0
-            sub[:, row_idx, pivot] = -lams[mask, col] / lams[mask, pivot]
-        basis[mask] = sub
-    forms = np.einsum("nk,ijk->nij", lams, _STRUCTURE_TENSOR)
-    restricted = np.einsum("nai,nij,nbj->nab", basis, forms, basis)
-    return np.abs(restricted).max(axis=(1, 2))
-
-
 def _grid_covectors() -> np.ndarray:
-    grid = np.array(
-        [p for p in itertools.product(range(-2, 3), repeat=DIM) if any(p)], dtype=float
-    )
+    """Nonzero integer covectors with entries in -2..2, normalized, in
+    itertools.product order."""
+    grid = np.indices((5,) * DIM).reshape(DIM, -1).T - 2.0
+    grid = grid[grid.any(axis=1)]
     return grid / np.linalg.norm(grid, axis=1, keepdims=True)
+
+
+_CHUNK = 20000
+
+
+def _random_covector_blocks(samples: int, seed: int):
+    """Seeded random unit covectors, drawn _CHUNK rows at a time.
+
+    Drawing block by block reads the same default_rng stream as drawing all
+    samples at once, so the covectors do not depend on the block size.
+    """
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, _CHUNK):
+        block = rng.standard_normal((min(_CHUNK, samples - start), DIM))
+        yield block / np.linalg.norm(block, axis=1, keepdims=True)
 
 
 def hyperplane_scan(samples: int, seed: int, threshold: float = 1e-6) -> HyperplaneScan:
     """Scan the deterministic grid plus random unit covectors for a closed
-    5-dimensional subalgebra (a falsification search, not a proof)."""
+    5-dimensional subalgebra (a falsification search; hyperplane_certificate
+    is the proof)."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     grid = _grid_covectors()
-    rng = np.random.default_rng(seed)
-    random_part = rng.standard_normal((samples, DIM))
-    random_part /= np.linalg.norm(random_part, axis=1, keepdims=True)
-    lams = np.vstack([grid, random_part])
     min_residual = math.inf
     found = None
-    chunk = 20000
-    for start in range(0, lams.shape[0], chunk):
-        block = lams[start : start + chunk]
+    for block in itertools.chain([grid], _random_covector_blocks(samples, seed)):
         residuals = _closure_residuals(block)
-        block_min = float(residuals.min())
-        if block_min < min_residual:
-            min_residual = block_min
-        if found is None and block_min <= threshold:
-            lam = block[int(np.argmin(residuals))]
-            rows = _hyperplane_basis(lam)
-            found = SubalgebraBasis(
-                tuple(AlgebraElement.numeric(row) for row in rows)
-            )
+        best = int(np.argmin(residuals))
+        min_residual = min(min_residual, float(residuals[best]))
+        if found is None and residuals[best] <= threshold:
+            rows = _hyperplane_basis(block[best])
+            found = SubalgebraBasis(tuple(AlgebraElement.numeric(row) for row in rows))
     return HyperplaneScan(grid.shape[0], samples, min_residual, found)
+
+
+_MONOMIALS = tuple(itertools.combinations_with_replacement(range(DIM), 2))
+
+# each target is a sum of the listed monomials lam_i*lam_j
+_CERTIFICATE_TARGETS = {
+    "lambda_1^2": {(0, 0)},
+    "lambda_2^2": {(1, 1)},
+    "lambda_3^2": {(2, 2)},
+    "lambda_4^2 + lambda_5^2 + lambda_6^2": {(3, 3), (4, 4), (5, 5)},
+}
+
+
+@dataclass(frozen=True)
+class HyperplaneCertificate:
+    """Exact proof that se(3) has no 5-dimensional subalgebra.
+
+    combinations[target][triple] is the rational coefficient of the quadric
+    (lam ^ dlam)(triple) in the target.  The four targets sum to |lam|^2,
+    so lam ^ dlam = 0 forces lam = 0: no hyperplane is closed.
+    """
+
+    combinations: Dict[str, Dict[Tuple[int, int, int], Fraction]]
+
+    @property
+    def residual_floor(self) -> Fraction:
+        """Lower bound on max |lam ^ dlam| for unit lam.
+
+        |lam|^2 = sum of c_t * quadric_t over all combinations, which is at
+        most (sum of |c_t|) * max |quadric_t|.
+        """
+        total = sum(abs(c) for combo in self.combinations.values() for c in combo.values())
+        return 1 / total
+
+
+def hyperplane_certificate() -> HyperplaneCertificate:
+    """Solve each target in the rational span of the quadrics."""
+    table = frobenius_quadrics()
+    rows = [[q.get(m, 0) for m in _MONOMIALS] for q in table.values()]
+    combinations = {}
+    for name, target in _CERTIFICATE_TARGETS.items():
+        coords = exact_solve_in_span(rows, [int(m in target) for m in _MONOMIALS])
+        if coords is None:
+            raise ArithmeticError(f"{name} is not a combination of the quadrics")
+        combinations[name] = {t: c for t, c in zip(table, coords) if c}
+    return HyperplaneCertificate(combinations)
 
 
 def five_dim_search(samples: int, seed: int) -> Optional[SubalgebraBasis]:

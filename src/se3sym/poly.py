@@ -107,6 +107,10 @@ class SparsePoly:
         return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its value, so it must hash as that value
+        constant_key = (0,) * len(self.VARIABLES)
+        if self.terms.keys() <= {constant_key}:
+            return hash(self.terms.get(constant_key, 0))
         return hash(frozenset(self.terms.items()))
 
     def is_zero(self) -> bool:

@@ -110,6 +110,10 @@ def test_canonical_form_independent_of_construction_order(triple):
     p, q, _ = triple
     assert p + q - q == p
     assert str(p + q) == str(q + p)
+    # equal objects hash equally, also a constant and its value
+    assert len({p + q, q + p}) == 1
+    assert len({p.constant(1), 1, Fraction(1)}) == 1
+    assert len({p - p, 0}) == 1
 
 
 def test_total_derivative_examples():

@@ -1,9 +1,14 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from se3sym.algebra import (
+    BASIS,
     AlgebraElement,
     SubalgebraBasis,
     X1,
@@ -12,6 +17,7 @@ from se3sym.algebra import (
     X4,
     X5,
     X6,
+    bracket,
     closure_check,
 )
 from se3sym.adjoint import AdjointWord, apply_word, automorphism_defect
@@ -20,7 +26,12 @@ from se3sym.optimal import (
     canonicalize_screw,
     classify_1d_paper,
     equivalence_search,
+    _closure_residuals,
+    _grid_covectors,
+    _random_covector_blocks,
     five_dim_search,
+    frobenius_quadrics,
+    hyperplane_certificate,
     hyperplane_scan,
     pitch_of,
     proportionality_scale,
@@ -301,3 +312,102 @@ def test_hyperplane_scan_finds_nothing_small():
 def test_hyperplane_scan_validates_samples():
     with pytest.raises(ValueError):
         hyperplane_scan(0, 1)
+
+
+# ---------------------------------------------------------------------------
+# lam ^ dlam residual and the exact certificate
+# ---------------------------------------------------------------------------
+
+rational_covectors = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=5), min_size=6, max_size=6
+)
+unit_covectors = (
+    st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=6, max_size=6)
+    .map(np.array)
+    .filter(lambda lam: np.linalg.norm(lam) > 1e-3)
+    .map(lambda lam: lam / np.linalg.norm(lam))
+)
+
+
+@pytest.fixture(scope="module")
+def certificate():
+    return hyperplane_certificate()
+
+
+def _wedge_components(lam):
+    """(lam ^ dlam)(X_a, X_b, X_c) for a < b < c through the exact bracket."""
+
+    def dlam(a, b):
+        return -sum(l * c for l, c in zip(lam, bracket(BASIS[a], BASIS[b]).coeffs))
+
+    return {
+        (a, b, c): lam[a] * dlam(b, c) - lam[b] * dlam(a, c) + lam[c] * dlam(a, b)
+        for a, b, c in itertools.combinations(range(6), 3)
+    }
+
+
+def _evaluate(quadric, lam):
+    return sum(coeff * lam[i] * lam[j] for (i, j), coeff in quadric.items())
+
+
+@given(rational_covectors)
+def test_residual_is_max_wedge_through_the_bracket(lam):
+    components = _wedge_components(lam)
+    table = frobenius_quadrics()
+    for triple, value in components.items():
+        assert _evaluate(table.get(triple, {}), lam) == value
+    exact = max(abs(value) for value in components.values())
+    residual = _closure_residuals(np.array([[float(l) for l in lam]]))[0]
+    assert abs(residual - float(exact)) <= 1e-12
+
+
+def test_quadric_table_has_nineteen_entries():
+    table = frobenius_quadrics()
+    assert len(table) == 19
+    assert all(a < b < c for a, b, c in table)
+
+
+def test_certificate_combinations_reproduce_targets(certificate):
+    table = frobenius_quadrics()
+    lam = [Fraction(n, 7) for n in (3, -5, 2, 11, -1, 4)]
+    targets = {
+        "lambda_1^2": lam[0] ** 2,
+        "lambda_2^2": lam[1] ** 2,
+        "lambda_3^2": lam[2] ** 2,
+        "lambda_4^2 + lambda_5^2 + lambda_6^2": lam[3] ** 2 + lam[4] ** 2 + lam[5] ** 2,
+    }
+    assert certificate.combinations.keys() == targets.keys()
+    for name, combo in certificate.combinations.items():
+        assert sum(c * _evaluate(table[t], lam) for t, c in combo.items()) == targets[name]
+    assert certificate.residual_floor == Fraction(2, 11)
+
+
+@given(unit_covectors)
+def test_unit_covector_residual_above_floor(certificate, lam):
+    assert _closure_residuals(lam[None, :])[0] >= float(certificate.residual_floor)
+
+
+@pytest.mark.parametrize("samples", [20001, 40000])
+def test_chunked_drawing_matches_one_batch(samples):
+    rng = np.random.default_rng(42)
+    batch = rng.standard_normal((samples, 6))
+    batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+    blocks = list(_random_covector_blocks(samples, 42))
+    assert max(len(block) for block in blocks) <= 20000
+    assert np.array_equal(np.vstack(blocks), batch)
+    expected = min(_closure_residuals(_grid_covectors()).min(), _closure_residuals(batch).min())
+    assert hyperplane_scan(samples, 42).min_residual == expected
+
+
+def test_scan_above_floor_returns_kernel_basis(certificate):
+    threshold = 0.5
+    assert threshold > certificate.residual_floor
+    scan = hyperplane_scan(1000, 42, threshold=threshold)
+    # the grid comes first, so the witness is its best covector
+    grid = _grid_covectors()
+    residuals = _closure_residuals(grid)
+    lam = grid[int(np.argmin(residuals))]
+    assert residuals.min() <= threshold
+    generators = np.array([g.as_array() for g in scan.found.generators])
+    assert generators.shape == (5, 6)
+    assert np.abs(generators @ lam).max() < 1e-12
