@@ -23,6 +23,8 @@ def main() -> None:
     parser.add_argument("--samples", type=int, default=100000)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
+    if args.samples < 1:
+        parser.error("--samples must be at least 1")
 
     start = time.time()
     scan = hyperplane_scan(args.samples, args.seed)

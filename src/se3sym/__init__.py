@@ -32,9 +32,11 @@ from .adjoint import (
     automorphism_defect,
 )
 from .optimal import (
+    OneDimBatch,
     OneDimRepresentative,
     ScrewForm,
     canonicalize_screw,
+    classify_1d_many,
     classify_1d_paper,
     equivalence_search,
     five_dim_search,

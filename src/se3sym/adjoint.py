@@ -165,7 +165,8 @@ def closed_form(i: int) -> TrigPolyMatrix:
 
 
 def step_matrix(i: int, sigma: float) -> np.ndarray:
-    """Float matrix of one adjoint step, row-convention."""
+    """Float matrix of one adjoint step, row-convention (the reference for
+    apply_step)."""
     if i <= 3:
         m = np.eye(DIM) - sigma * _AD[i]
     else:
@@ -175,6 +176,27 @@ def step_matrix(i: int, sigma: float) -> np.ndarray:
             + (1.0 - math.cos(sigma)) * _AD2[i]
         )
     return m.T
+
+
+def apply_step(i: int, sigma, coords: np.ndarray) -> np.ndarray:
+    """coords @ step_matrix(i, sigma), computed from the bracket operator.
+
+    coords holds one element, shape (6,), or one per row, shape (n, 6);
+    sigma is one parameter or one per row.  A zero parameter leaves the
+    coordinates unchanged.  Each row of the matrices of ad X_i and
+    (ad X_i)^2 has at most one nonzero entry, so the products below are
+    exact and a row's image does not depend on the other rows.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim:
+        sigma = sigma[:, None]
+    if i <= 3:
+        return coords - sigma * (coords @ _AD[i].T)
+    return (
+        coords
+        - np.sin(sigma) * (coords @ _AD[i].T)
+        + (1.0 - np.cos(sigma)) * (coords @ _AD2[i].T)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +248,6 @@ class AdjointWord:
         word = AdjointWord(tuple(steps))
         return word if len(word) == len(self) else word.simplified(tol)
 
-    def matrix(self) -> np.ndarray:
-        total = np.eye(DIM)
-        for index, parameter in self.steps:
-            total = total @ step_matrix(index, parameter)
-        return total
-
     def to_json(self) -> List[List[float]]:
         return [[index, parameter] for index, parameter in self.steps]
 
@@ -239,8 +255,8 @@ class AdjointWord:
 def apply_word(word: AdjointWord, x: AlgebraElement) -> AlgebraElement:
     """Apply the adjoint word to x; returns a float-tower element."""
     coords = x.as_array()
-    if word.steps:
-        coords = coords @ word.matrix()
+    for index, parameter in word.steps:
+        coords = apply_step(index, parameter, coords)
     return AlgebraElement.numeric(coords)
 
 

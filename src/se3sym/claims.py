@@ -50,7 +50,7 @@ from .jets import (
     vf_commutator,
 )
 from .optimal import (
-    CASE_ALLOWED,
+    classify_1d_many,
     classify_1d_paper,
     equivalence_search,
     hyperplane_certificate,
@@ -397,20 +397,12 @@ def _claim_laplace_extras() -> Claim:
 
 
 def _classify_sweep(rng: np.random.Generator, count: int) -> Dict:
-    worst = 0.0
-    fallbacks = 0
-    for _ in range(count):
-        element = AlgebraElement.numeric(rng.standard_normal(6))
-        rep = classify_1d_paper(element)
-        allowed = CASE_ALLOWED[rep.case_tag]
-        residual = max(
-            abs(rep.representative.coeffs[i - 1])
-            for i in range(1, DIM + 1)
-            if i not in allowed
-        )
-        worst = max(worst, residual)
-        fallbacks += int(rep.fallback)
-    return {"elements": count, "max_disallowed_coordinate": worst, "fallback_count": fallbacks}
+    batch = classify_1d_many(rng.standard_normal((count, DIM)))
+    return {
+        "elements": count,
+        "max_disallowed_coordinate": float(batch.disallowed().max()),
+        "fallback_count": int(batch.fallback.sum()),
+    }
 
 
 def _claim_one_dim(rng: np.random.Generator) -> Claim:

@@ -6,7 +6,8 @@ normalizer (align the rotation part with a coordinate axis, translate away
 the perpendicular translation part).  The recipes are tried first; whenever
 they are ill-defined or leave a residual, the geometric route takes over and
 the result is flagged.  Orbit invariants |w|^2 and v.w decide which target
-patterns are reachable at all.
+patterns are reachable at all.  classify_1d_paper normalizes one element;
+classify_1d_many takes the same decisions for an (n, 6) array at once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .algebra import (
     commutator_table,
     is_abelian,
 )
-from .adjoint import AdjointWord, apply_word, omega_norm_sq, translation_dot
+from .adjoint import AdjointWord, apply_step, apply_word, omega_norm_sq, translation_dot
 from .linalg import exact_solve_in_span
 
 PATTERN_TOL = 1e-9
@@ -90,6 +91,41 @@ class OneDimRepresentative:
     representative: AlgebraElement
 
 
+@dataclass(frozen=True)
+class OneDimBatch:
+    """The seven-case normalization of many elements, held as arrays.
+
+    Row i of every array is what classify_1d_paper returns for row i of the
+    input; a is NaN where the case has no a.  steps lists (generator, one
+    parameter per row): a row whose word skips a step holds 0 there, which
+    is the identity, so replaying every step in order applies each row's
+    word to its own row.
+    """
+
+    case_tags: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    scale: np.ndarray
+    fallback: np.ndarray
+    representatives: np.ndarray
+    steps: Tuple[Tuple[int, np.ndarray], ...]
+
+    def word(self, i: int) -> AdjointWord:
+        return _word((index, parameters[i]) for index, parameters in self.steps)
+
+    def replay(self, coords: np.ndarray) -> np.ndarray:
+        """Ad(word(i)) of row i of coords, for every row."""
+        return _apply_steps(self.steps, coords)
+
+    def disallowed(self) -> np.ndarray:
+        """Largest |coordinate| outside its case pattern, per representative."""
+        out = np.zeros(len(self.scale))
+        for tag in CASE_TAGS:
+            rows = self.case_tags == tag
+            out[rows] = np.abs(self.representatives[rows][:, _disallowed(tag)]).max(axis=1)
+        return out
+
+
 def pitch_of(x: AlgebraElement) -> Optional[float]:
     """Translation advance per unit rotation, v.w / |w|^2; None if w = 0."""
     wsq = omega_norm_sq(x)
@@ -99,29 +135,68 @@ def pitch_of(x: AlgebraElement) -> Optional[float]:
 
 
 # ---------------------------------------------------------------------------
+# helpers of the normalizers: those that take coordinates accept one element,
+# shape (6,), or one element per row, shape (n, 6), so that
+# classify_1d_paper and classify_1d_many take the same decisions by the same
+# arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _unit(x: AlgebraElement) -> Tuple[np.ndarray, float]:
+    """Coordinates of x divided by m = max |coordinate|, and m.
+
+    Normal forms are projective: each normalizer works on x / m and folds
+    1 / m into its scale, so nothing overflows or underflows on the way.
+    """
+    coords = x.as_array()
+    m = float(np.abs(coords).max())
+    return coords / m, m
+
+
+def _dot3(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
+
+
+def _norm3(p: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot3(p, p))
+
+
+def _apply_steps(steps, coords: np.ndarray) -> np.ndarray:
+    for index, parameter in steps:
+        coords = apply_step(index, parameter, coords)
+    return coords
+
+
+def _word(steps) -> AdjointWord:
+    return AdjointWord(tuple((index, float(p)) for index, p in steps)).simplified()
+
+
+def _disallowed(tag: str) -> List[int]:
+    """0-based coordinates that the case pattern of tag requires to vanish."""
+    return [i - 1 for i in range(1, DIM + 1) if i not in CASE_ALLOWED[tag]]
+
+
+# ---------------------------------------------------------------------------
 # geometric normalizer
 # ---------------------------------------------------------------------------
 
 _AXIS_ROT_INDEX = {"x": 3, "y": 4, "z": 5}  # 0-based coordinate of the rotation part
-_AXIS_TRANS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
-def _rotation_to_axis(n: Sequence[float], axis: str) -> AdjointWord:
-    """Word of rotation steps mapping direction n to the positive axis."""
-    n1, n2, n3 = (float(t) for t in n)
-    phi = math.atan2(n2, n1)
-    theta = math.atan2(math.hypot(n1, n2), n3)
-    steps: List[Tuple[int, float]] = [(6, -phi), (5, -theta)]
+def _rotation_steps(n: np.ndarray, axis: str) -> List[Tuple[int, np.ndarray]]:
+    """Rotation steps mapping direction n = n[..., 0:3] to the positive axis."""
+    phi = np.arctan2(n[..., 1], n[..., 0])
+    theta = np.arctan2(np.hypot(n[..., 0], n[..., 1]), n[..., 2])
     if axis == "x":
-        steps.append((5, math.pi / 2))
-    elif axis == "y":
-        steps.append((4, -math.pi / 2))
-    return AdjointWord(tuple(steps)).simplified()
+        return [(6, -phi), (5, math.pi / 2 - theta)]
+    if axis == "y":
+        return [(6, -phi), (5, -theta), (4, -math.pi / 2)]
+    return [(6, -phi), (5, -theta)]
 
 
-def _kill_translation_steps(v: Sequence[float], w_mag: float, axis: str) -> List[Tuple[int, float]]:
+def _kill_translation_steps(v: np.ndarray, w_mag, axis: str) -> List[Tuple[int, np.ndarray]]:
     """Translation steps removing the v components perpendicular to the axis."""
-    v1, v2, v3 = (float(t) for t in v)
+    v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
     if axis == "z":
         return [(2, -v1 / w_mag), (1, v2 / w_mag)]
     if axis == "x":
@@ -129,30 +204,33 @@ def _kill_translation_steps(v: Sequence[float], w_mag: float, axis: str) -> List
     return [(3, v1 / w_mag), (1, -v3 / w_mag)]
 
 
-def _screw_normalize_word(x: AlgebraElement, axis: str) -> AdjointWord:
-    """Word aligning w with the axis and translating v onto it."""
-    rot = _rotation_to_axis(x.w, axis)
-    turned = apply_word(rot, x)
-    w_mag = turned.coeffs[_AXIS_ROT_INDEX[axis]]
-    kills = _kill_translation_steps(turned.v, w_mag, axis)
-    return AdjointWord(rot.steps + tuple(kills)).simplified()
+def _geometric_steps(coords: np.ndarray, axis: str, translation: bool):
+    """Steps of the geometric normalizer and the coordinates they lead to.
+
+    A translation is turned onto the axis.  Otherwise the rotation part is
+    turned onto the axis and the translation part perpendicular to it is
+    moved away.
+    """
+    steps = _rotation_steps(coords[..., :3] if translation else coords[..., 3:], axis)
+    moved = _apply_steps(steps, coords)
+    if not translation:
+        kills = _kill_translation_steps(moved[..., :3], moved[..., _AXIS_ROT_INDEX[axis]], axis)
+        moved = _apply_steps(kills, moved)
+        steps += kills
+    return steps, moved
 
 
 def canonicalize_screw(x: AlgebraElement) -> ScrewForm:
     """Independent canonical form driven by the screw invariants."""
     if x.is_zero():
         raise ValueError("cannot canonicalize the zero element")
-    coords = x.as_array()
-    scale_ref = float(np.abs(coords).max())
-    w_norm = math.sqrt(omega_norm_sq(x))
-    if w_norm <= ZERO_TOL * scale_ref:
-        word = _rotation_to_axis(x.v, "x")
-        length = float(np.linalg.norm(coords[:3]))
-        return ScrewForm("translation", None, word, 1.0 / length)
-    word = _screw_normalize_word(x, "z")
-    final = apply_word(word, x)
-    scale = 1.0 / final.coeffs[5]
-    return ScrewForm("screw", pitch_of(x), word, scale)
+    unit, m = _unit(x)
+    if _norm3(unit[3:]) <= ZERO_TOL:
+        steps, _ = _geometric_steps(unit, "x", translation=True)
+        return ScrewForm("translation", None, _word(steps), float(1.0 / _norm3(unit[:3]) / m))
+    steps, moved = _geometric_steps(unit, "z", translation=False)
+    pitch = pitch_of(AlgebraElement.numeric(unit))
+    return ScrewForm("screw", pitch, _word(steps), float(1.0 / moved[5] / m))
 
 
 # ---------------------------------------------------------------------------
@@ -177,73 +255,68 @@ def _case_tag(coords: Sequence) -> str:
     return "A17"
 
 
-def _published_recipe(tag: str, coords: Sequence[float]) -> Optional[AdjointWord]:
-    """Literal parameter recipes of the published case split.
+def _case_tags(coords: np.ndarray) -> np.ndarray:
+    """_case_tag of every row, looked up by the zero pattern of v."""
+    by_pattern = np.array([_case_tag((p & 1, p & 2, p & 4)) for p in range(8)])
+    return by_pattern[(coords[:, :3] != 0) @ np.array([1, 2, 4])]
 
-    Returns None when a recipe divides by zero or feeds zero to arctan's
-    denominator, the documented ill-defined situations.
+
+def _recipe(tag: str, coords: np.ndarray):
+    """Literal parameter recipe of the published case split.
+
+    Returns (defined, steps).  A recipe is ill-defined where it divides by
+    zero or feeds zero to arctan's denominator, the documented ill-defined
+    situations, or where a parameter overflows.
     """
-    a1, a2, a3, a4, a5, a6 = (float(c) for c in coords)
-    try:
+    a1, a2, a3, a4, a5, a6 = (coords[..., k] for k in range(DIM))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if tag == "A11":
-            if a6 == 0.0:
-                return None
-            steps = [(4, -math.atan(a5 / a6)), (5, math.atan(a4 / a6))]
+            divisors, steps = (a6,), [(4, -np.arctan(a5 / a6)), (5, np.arctan(a4 / a6))]
         elif tag == "A12":
-            steps = [(2, -a6 / a1), (3, a5 / a1)]
+            divisors, steps = (a1,), [(2, -a6 / a1), (3, a5 / a1)]
         elif tag == "A13":
-            steps = [(1, a6 / a2), (3, -a4 / a2)]
+            divisors, steps = (a2,), [(1, a6 / a2), (3, -a4 / a2)]
         elif tag == "A14":
-            steps = [(1, -a5 / a3), (2, a4 / a3)]
+            divisors, steps = (a3,), [(1, -a5 / a3), (2, a4 / a3)]
         elif tag == "A15":
-            steps = [(1, a6 / a2), (3, a5 / a1), (4, -math.atan(a3 / a2))]
+            divisors = (a1, a2)
+            steps = [(1, a6 / a2), (3, a5 / a1), (4, -np.arctan(a3 / a2))]
         elif tag == "A16":
-            if a2 == 0.0:
-                return None
-            steps = [(1, -a5 / a3), (2, -a6 / a1), (4, -math.atan(a3 / a2))]
+            divisors = (a1, a2, a3)
+            steps = [(1, -a5 / a3), (2, -a6 / a1), (4, -np.arctan(a3 / a2))]
         else:
-            steps = [(1, a6 / a2), (2, a4 / a3)]
-    except ZeroDivisionError:
-        return None
-    return AdjointWord(tuple(steps)).simplified()
+            divisors, steps = (a2, a3), [(1, a6 / a2), (2, a4 / a3)]
+    defined = np.logical_and.reduce(
+        [d != 0.0 for d in divisors] + [np.isfinite(p) for _, p in steps]
+    )
+    return defined, steps
 
 
-def _normalize_to_case(
-    coords: np.ndarray, tag: str
-) -> Optional[Tuple[float, np.ndarray, Optional[float], float]]:
+def _published_recipe(tag: str, coords: Sequence[float]) -> Optional[AdjointWord]:
+    """The published recipe of tag as a word, or None where it is ill-defined."""
+    defined, steps = _recipe(tag, np.asarray(coords, dtype=float))
+    return _word(steps) if defined else None
+
+
+def _normalize_to_case(coords: np.ndarray, tag: str):
     """Scale so the leading allowed coordinate is 1 and check the pattern.
 
-    Returns (scale, normalized coordinates, a, b) or None when the pattern
-    is not met or a required parameter degenerates.
+    Returns (ok, scale, normalized coordinates, a, b); ok is False where the
+    pattern is not met or a required parameter degenerates, and a is NaN for
+    the cases without a.  a is the middle and b the last allowed coordinate
+    (b = 0 for A11, whose one allowed coordinate is the lead).
     """
     allowed = CASE_ALLOWED[tag]
-    scale_ref = float(np.abs(coords).max())
-    lead = coords[allowed[0] - 1]
-    if scale_ref == 0.0 or abs(lead) <= PATTERN_TOL * scale_ref:
-        return None
-    scale = 1.0 / lead
-    normalized = coords * scale
-    disallowed = [i for i in range(1, DIM + 1) if i not in allowed]
-    if max(abs(normalized[i - 1]) for i in disallowed) >= PATTERN_TOL:
-        return None
-    a: Optional[float]
-    if tag == "A11":
-        a, b = None, 0.0
-    elif tag == "A12":
-        a, b = None, float(normalized[3])
-    elif tag == "A13":
-        a, b = None, float(normalized[4])
-    elif tag == "A14":
-        a, b = None, float(normalized[5])
-    elif tag == "A15":
-        a, b = float(normalized[1]), float(normalized[5])
-    elif tag == "A16":
-        a, b = float(normalized[2]), float(normalized[3])
-    else:
-        a, b = float(normalized[2]), float(normalized[4])
-    if tag in CASES_WITH_A and abs(a) <= PATTERN_TOL:
-        return None
-    return scale, normalized, a, b
+    lead = coords[..., allowed[0] - 1]
+    ok = np.abs(lead) > PATTERN_TOL * np.abs(coords).max(axis=-1)
+    scale = 1.0 / np.where(ok, lead, 1.0)
+    normalized = coords * scale[..., None]
+    ok &= np.abs(normalized[..., _disallowed(tag)]).max(axis=-1) < PATTERN_TOL
+    b = normalized[..., allowed[-1] - 1] if len(allowed) > 1 else np.zeros_like(lead)
+    if tag not in CASES_WITH_A:
+        return ok, scale, normalized, np.full_like(lead, np.nan), b
+    a = normalized[..., allowed[1] - 1]
+    return ok & (np.abs(a) > PATTERN_TOL), scale, normalized, a, b
 
 
 # fallback targets: axis used for the screw alignment and the tag whose
@@ -261,21 +334,43 @@ _SCREW_TARGET = {
 _AXIS_TRANSLATION_TAG = {"x": "A12", "y": "A13", "z": "A14"}
 
 
-def _fallback_word(x: AlgebraElement, tag: str) -> Tuple[str, AdjointWord]:
-    """Geometric word for the invariant-reachable pattern closest to tag."""
-    coords = x.as_array()
-    scale_ref = float(np.abs(coords).max())
-    w_norm = math.sqrt(omega_norm_sq(x))
-    if w_norm <= ZERO_TOL * scale_ref:
-        axis = _TRANSLATION_TARGET.get(tag, "x")
-        return _AXIS_TRANSLATION_TAG[axis], _rotation_to_axis(x.v, axis)
-    v_norm = float(np.linalg.norm(coords[:3]))
-    dot = translation_dot(x)
-    if v_norm == 0.0 or abs(dot) <= ZERO_TOL * v_norm * w_norm:
-        # zero pitch: the axis can absorb the whole translation part
-        return "A11", _screw_normalize_word(x, "z")
-    axis, new_tag = _SCREW_TARGET.get(tag, ("z", "A14"))
-    return new_tag, _screw_normalize_word(x, axis)
+def _fallback_plans(coords: np.ndarray, tag: str):
+    """Geometric plans for the invariant-reachable pattern closest to tag.
+
+    Returns (where, new tag, axis, translation) for each of the three
+    regimes: a translation, a screw of zero pitch (its axis absorbs the
+    whole translation part) and any other screw.  where selects the
+    elements in the regime; the three exclude each other.
+    """
+    w_norm = _norm3(coords[..., 3:])
+    v_norm = _norm3(coords[..., :3])
+    translation = w_norm <= ZERO_TOL
+    zero_pitch = ~translation & (
+        (v_norm == 0.0)
+        | (np.abs(_dot3(coords[..., :3], coords[..., 3:])) <= ZERO_TOL * v_norm * w_norm)
+    )
+    axis = _TRANSLATION_TARGET.get(tag, "x")
+    screw_axis, screw_tag = _SCREW_TARGET.get(tag, ("z", "A14"))
+    return (
+        (translation, _AXIS_TRANSLATION_TAG[axis], axis, True),
+        (zero_pitch, "A11", "z", False),
+        (~translation & ~zero_pitch, screw_tag, screw_axis, False),
+    )
+
+
+def _representative(tag, steps, moved, m, fallback) -> Optional[OneDimRepresentative]:
+    ok, scale, normalized, a, b = _normalize_to_case(moved, tag)
+    if not ok:
+        return None
+    return OneDimRepresentative(
+        tag,
+        float(a) if tag in CASES_WITH_A else None,
+        float(b),
+        _word(steps),
+        float(scale) / m,
+        fallback,
+        AlgebraElement.numeric(normalized),
+    )
 
 
 def classify_1d_paper(x: AlgebraElement) -> OneDimRepresentative:
@@ -286,35 +381,94 @@ def classify_1d_paper(x: AlgebraElement) -> OneDimRepresentative:
     verbatim; if the outcome misses the case pattern (the rotation-part
     invariants frequently make it unreachable), the geometric normalizer
     produces a verified word instead and the result carries fallback=True,
-    possibly under the invariant-compatible tag.
+    possibly under the invariant-compatible tag.  The work is done on
+    x / max |coordinate|, so the result does not depend on the magnitude of
+    x.  classify_1d_many takes the same steps for an array of elements.
     """
     if x.is_zero():
         raise ValueError("cannot classify the zero element")
-    xf = x.to_float()
-    tag = _case_tag(xf.coeffs)
-    recipe = _published_recipe(tag, xf.coeffs)
-    if recipe is not None:
-        outcome = _normalize_to_case(apply_word(recipe, xf).as_array(), tag)
-        if outcome is not None:
-            scale, normalized, a, b = outcome
-            return OneDimRepresentative(
-                tag, a, b, recipe, scale, False, AlgebraElement.numeric(normalized)
-            )
+    unit, m = _unit(x)
+    tag = _case_tag(unit)
+    defined, recipe = _recipe(tag, unit)
+    if defined:
+        rep = _representative(tag, recipe, _apply_steps(recipe, unit), m, False)
+        if rep is not None:
+            return rep
     # already in the case pattern without any motion
-    outcome = _normalize_to_case(xf.as_array(), tag)
-    if outcome is not None:
-        scale, normalized, a, b = outcome
-        return OneDimRepresentative(
-            tag, a, b, AdjointWord(), scale, True, AlgebraElement.numeric(normalized)
-        )
-    new_tag, word = _fallback_word(xf, tag)
-    outcome = _normalize_to_case(apply_word(word, xf).as_array(), new_tag)
-    if outcome is None:
+    rep = _representative(tag, [], unit, m, True)
+    if rep is not None:
+        return rep
+    _, new_tag, axis, translation = next(p for p in _fallback_plans(unit, tag) if p[0])
+    steps, moved = _geometric_steps(unit, axis, translation)
+    rep = _representative(new_tag, steps, moved, m, True)
+    if rep is None:
         raise AssertionError(f"geometric normalizer failed for {x}")
-    scale, normalized, a, b = outcome
-    return OneDimRepresentative(
-        new_tag, a, b, word, scale, True, AlgebraElement.numeric(normalized)
-    )
+    return rep
+
+
+def classify_1d_many(coords: np.ndarray) -> OneDimBatch:
+    """classify_1d_paper of every row of an (n, 6) array, in one pass.
+
+    Each row goes through the same decisions in the same order, with the
+    same arithmetic, as in classify_1d_paper, a group of rows at a time: the
+    rows of one case tag try its published recipe, then the case pattern
+    without motion, then the geometric fallback of their regime.  Raises
+    AssertionError naming the row on which the geometric normalizer fails,
+    as classify_1d_paper raises for that element.
+    """
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 2 or coords.shape[1] != DIM:
+        raise ValueError(f"expected an (n, {DIM}) array, got shape {coords.shape}")
+    if not np.isfinite(coords).all():
+        raise ValueError("non-finite coordinate")
+    m = np.abs(coords).max(axis=1)
+    if not m.all():
+        raise ValueError(f"cannot classify the zero element (row {int(np.argmin(m))})")
+    unit = coords / m[:, None]
+    n = len(unit)
+    tags = _case_tags(unit)
+    out_tags = tags.copy()
+    a, b, scale = np.full(n, np.nan), np.zeros(n), np.zeros(n)
+    fallback = np.ones(n, dtype=bool)
+    representatives = np.zeros((n, DIM))
+    steps: List[Tuple[int, np.ndarray]] = []
+
+    def accept(rows, tag, group_steps, moved):
+        """Keep the rows whose moved coordinates meet the pattern of tag."""
+        ok, s, normalized, ca, cb = _normalize_to_case(moved, tag)
+        kept = rows[ok]
+        out_tags[kept] = tag
+        a[kept], b[kept], scale[kept] = ca[ok], cb[ok], s[ok] / m[kept]
+        representatives[kept] = normalized[ok]
+        for index, parameter in group_steps if kept.size else ():
+            column = np.zeros(n)
+            column[kept] = np.broadcast_to(parameter, ok.shape)[ok]
+            steps.append((index, column))
+        return ok
+
+    for tag in CASE_TAGS:
+        rows = np.flatnonzero(tags == tag)
+        if not rows.size:
+            continue
+        defined, recipe = _recipe(tag, unit[rows])
+        tried = rows[defined]
+        recipe = [(index, p[defined]) for index, p in recipe]
+        solved = tried[accept(tried, tag, recipe, _apply_steps(recipe, unit[tried]))]
+        fallback[solved] = False
+        # already in the case pattern without any motion
+        rows = np.setdiff1d(rows, solved, assume_unique=True)
+        rows = rows[~accept(rows, tag, [], unit[rows])]
+        for where, new_tag, axis, translation in _fallback_plans(unit[rows], tag):
+            group = rows[where]
+            if group.size:
+                group_steps, moved = _geometric_steps(unit[group], axis, translation)
+                ok = accept(group, new_tag, group_steps, moved)
+                if not ok.all():
+                    row = int(group[np.argmin(ok)])
+                    raise AssertionError(
+                        f"geometric normalizer failed for row {row}: {coords[row].tolist()}"
+                    )
+    return OneDimBatch(out_tags, a, b, scale, fallback, representatives, tuple(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from se3sym.adjoint import (
     TrigPoly,
     ad_matrix,
     adjoint_series,
+    apply_step,
     apply_word,
     automorphism_defect,
     closed_form,
@@ -101,6 +102,39 @@ def test_step_matrix_consistent_with_closed_form():
             assert np.allclose(
                 step_matrix(i, sigma), closed_form(i).evaluate(sigma), atol=1e-15
             )
+
+
+def _random_steps(rng, length):
+    return [(int(rng.integers(1, 7)), float(rng.uniform(-math.pi, math.pi))) for _ in range(length)]
+
+
+def test_step_kernel_equals_step_matrix_products():
+    rng = np.random.default_rng(5)
+    for length in range(0, 6):
+        steps = _random_steps(rng, length)
+        coords = rng.standard_normal((40, 6))
+        product = np.eye(6)
+        moved = coords
+        for index, parameter in steps:
+            product = product @ step_matrix(index, parameter)
+            moved = apply_step(index, parameter, moved)
+        assert np.abs(moved - coords @ product).max() < 1e-12
+        assert np.abs(apply_step(1, 0.0, coords) - coords).max() == 0.0
+
+
+def test_step_kernel_with_one_parameter_per_row_matches_apply_word():
+    rng = np.random.default_rng(9)
+    coords = rng.standard_normal((30, 6))
+    generators = [int(g) for g in rng.integers(1, 7, size=5)]
+    parameters = rng.uniform(-math.pi, math.pi, size=(30, 5))
+    parameters[::3, 1] = 0.0  # a zero parameter leaves the row unchanged
+    moved = coords
+    for k, index in enumerate(generators):
+        moved = apply_step(index, parameters[:, k], moved)
+    for row in range(30):
+        word = AdjointWord.of(*zip(generators, parameters[row]))
+        expected = apply_word(word, AlgebraElement.numeric(coords[row])).as_array()
+        assert np.array_equal(moved[row], expected)
 
 
 def test_group_law_per_generator():

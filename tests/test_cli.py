@@ -90,6 +90,22 @@ def test_classify_accepts_rationals_and_floats():
     assert status == 0
 
 
+@pytest.mark.parametrize(
+    "vector", ["1e160,2e160,0,3e160,1e160,2e160", "1e-170,2e-170,0,3e-170,1e-170,2e-170"]
+)
+def test_classify_and_equiv_at_extreme_magnitudes(vector):
+    status, out = _run(["classify", "--vector", vector])
+    assert status == 0
+    payload = json.loads(out)
+    _validate(payload, "classify.json")
+    assert payload["representative"]["case"] == "A14"
+    status, out = _run(["equiv", "--x", vector, "--y", "1,2,0,3,1,2"])
+    assert status == 0
+    payload = json.loads(out)
+    _validate(payload, "equiv.json")
+    assert payload["equivalent"] is True
+
+
 def test_classify_malformed_vector():
     status, _ = _run(["classify", "--vector", "1,2,bad,0,0,1"])
     assert status == 2

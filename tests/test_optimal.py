@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from se3sym.algebra import (
@@ -23,7 +23,9 @@ from se3sym.algebra import (
 from se3sym.adjoint import AdjointWord, apply_word, automorphism_defect
 from se3sym.optimal import (
     CASE_ALLOWED,
+    CASE_TAGS,
     canonicalize_screw,
+    classify_1d_many,
     classify_1d_paper,
     equivalence_search,
     _closure_residuals,
@@ -179,6 +181,132 @@ def test_classified_words_are_automorphisms():
         b = AlgebraElement.numeric(rng.standard_normal(6))
         defect = automorphism_defect(rep.word, a, b)
         assert max(abs(c) for c in defect.coeffs) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# scale-free classification and the batched path
+# ---------------------------------------------------------------------------
+
+# supports (1-based coordinates) on which the published recipe succeeds
+RECIPE_SUPPORTS = ((1, 2, 6), (2, 3, 5), (1, 2, 3), (1, 4), (2, 5), (3, 6), (6,))
+KINDS = ("gaussian", "v_pattern", "translation", "zero_pitch", "in_pattern", "recipe")
+
+
+def _element_of_kind(kind, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(6)
+    if kind == "v_pattern":  # each of the eight zero patterns of v
+        pattern = int(rng.integers(8))
+        x[:3] *= [pattern & 1, (pattern >> 1) & 1, (pattern >> 2) & 1]
+    elif kind == "translation":
+        x[3:] = 0.0
+    elif kind == "zero_pitch":
+        x[:3] = np.cross(rng.standard_normal(3), x[3:])
+    elif kind in ("in_pattern", "recipe"):
+        supports = [CASE_ALLOWED[tag] for tag in CASE_TAGS] if kind == "in_pattern" else RECIPE_SUPPORTS
+        support = supports[int(rng.integers(len(supports)))]
+        x[[i for i in range(6) if i + 1 not in support]] = 0.0
+    return x
+
+
+rows = st.tuples(st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
+magnitudes = st.floats(min_value=-150, max_value=150).map(lambda e: 10.0**e)
+
+
+def _close(got, want, tol=1e-9):
+    return abs(got - want) <= tol * max(1.0, abs(want))
+
+
+def _same_word(got, want, tol=1e-9):
+    return [i for i, _ in got.steps] == [i for i, _ in want.steps] and all(
+        _close(p, q, tol) for (_, p), (_, q) in zip(got.steps, want.steps)
+    )
+
+
+def test_kinds_cover_every_tag_and_recipe_success():
+    batches = {
+        kind: classify_1d_many(np.array([_element_of_kind(kind, seed) for seed in range(60)]))
+        for kind in KINDS
+    }
+    assert set().union(*(batch.case_tags.tolist() for batch in batches.values())) == set(CASE_TAGS)
+    assert not batches["recipe"].fallback.any()
+
+
+@settings(deadline=None)
+@given(rows, magnitudes)
+def test_classification_is_scale_free(row, magnitude):
+    base = _element_of_kind(*row)
+    scaled = base * magnitude
+    m_base, m_scaled = np.abs(base).max(), np.abs(scaled).max()
+    want = classify_1d_paper(AlgebraElement.numeric(base))
+    got = classify_1d_paper(AlgebraElement.numeric(scaled))
+    assert (got.case_tag, got.fallback) == (want.case_tag, want.fallback)
+    assert _same_word(got.word, want.word)
+    assert _close(got.scale * m_scaled, want.scale * m_base)
+    assert np.abs(got.representative.as_array() - want.representative.as_array()).max() <= 1e-9 * max(
+        1.0, np.abs(want.representative.as_array()).max()
+    )
+    want_screw = canonicalize_screw(AlgebraElement.numeric(base))
+    got_screw = canonicalize_screw(AlgebraElement.numeric(scaled))
+    assert got_screw.kind == want_screw.kind
+    assert _same_word(got_screw.word, want_screw.word)
+    assert _close(got_screw.scale * m_scaled, want_screw.scale * m_base)
+    if want_screw.kind == "screw":
+        assert _close(got_screw.pitch, want_screw.pitch)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(rows, magnitudes), min_size=1, max_size=24))
+def test_batch_matches_the_scalar_oracle_row_by_row(specs):
+    coords = np.array([_element_of_kind(*row) * magnitude for row, magnitude in specs])
+    try:
+        reps = [classify_1d_paper(AlgebraElement.numeric(x)) for x in coords]
+    except AssertionError:
+        with pytest.raises(AssertionError):
+            classify_1d_many(coords)
+        return
+    batch = classify_1d_many(coords)
+    for i, rep in enumerate(reps):
+        assert batch.case_tags[i] == rep.case_tag
+        assert batch.fallback[i] == rep.fallback
+        assert _same_word(batch.word(i), rep.word)
+        if rep.a is None:
+            assert math.isnan(batch.a[i])
+        else:
+            assert _close(batch.a[i], rep.a)
+        assert _close(batch.b[i], rep.b)
+        assert _close(batch.scale[i], rep.scale)
+        for got, want in zip(batch.representatives[i], rep.representative.coeffs):
+            assert _close(got, want)
+
+
+def test_batch_raises_where_the_oracle_raises():
+    # a Gaussian of pitch 1.7e-7: neither A11 nor A14 meets PATTERN_TOL
+    coords = np.random.default_rng(1924).standard_normal((2000, 6))
+    with pytest.raises(AssertionError):
+        classify_1d_paper(AlgebraElement.numeric(coords[1839]))
+    with pytest.raises(AssertionError, match="row 1839:"):
+        classify_1d_many(coords)
+    with pytest.raises(AssertionError, match="row 1:"):
+        classify_1d_many(coords[[0, 1839, 1]])
+
+
+def test_batch_replay_reproduces_the_representatives():
+    coords = np.random.default_rng(42).standard_normal((10000, 6))
+    batch = classify_1d_many(coords)
+    mapped = batch.scale[:, None] * batch.replay(coords)
+    assert np.abs(mapped - batch.representatives).max() < 1e-9
+    assert batch.disallowed().max() < 1e-9
+
+
+def test_batch_rejects_bad_input():
+    with pytest.raises(ValueError, match="row 1"):
+        classify_1d_many([[1.0, 0, 0, 0, 0, 0], [0.0] * 6])
+    with pytest.raises(ValueError):
+        classify_1d_many([[1.0, 0, 0, 0, 0, math.inf]])
+    with pytest.raises(ValueError):
+        classify_1d_many(np.ones(6))
+    assert len(classify_1d_many(np.zeros((0, 6))).scale) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ def test_classify_sweep_script():
     result = _run_script("classify_sweep.py", "--count", "50")
     assert result.returncode == 0, result.stderr
     assert "elements                 50" in result.stdout
+    assert "max word residual" in result.stdout
 
 
 def test_run_claims_script_reports_the_expected_discrepancies(tmp_path):
@@ -40,3 +41,11 @@ def test_run_claims_script_reports_the_expected_discrepancies(tmp_path):
     assert result.returncode == 1, result.stderr
     assert "5 discrepancies" in result.stdout
     assert out.exists()
+
+
+def test_scripts_reject_sizes_below_one():
+    for name, flag, value in (("classify_sweep.py", "--count", "-3"), ("hyperplane_scan.py", "--samples", "-1")):
+        result = _run_script(name, flag, value)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert f"{flag} must be at least 1" in result.stderr
