@@ -60,12 +60,7 @@ from .optimal import (
     _published_recipe,
     _case_tag,
 )
-from .solutions import (
-    builtin_fields,
-    flow_vs_closed_form,
-    pde_residual,
-    verify_invariance,
-)
+from .solutions import RESIDUAL_BOUND, check_solutions
 
 CONFIRMED = "confirmed"
 DISCREPANCY = "discrepancy"
@@ -593,36 +588,15 @@ def _claim_five_dim(samples: int, seed: int) -> Claim:
 
 
 def _claim_solutions(seed: int) -> Claim:
-    fields = builtin_fields()
-    residual_bound = 1e-6
-    per_family = {}
-    worst_overall = 0.0
-    for name, field_obj in fields.items():
-        worst = 0.0
-        for k in range(1, 7):
-            for s in (0.3, -0.7):
-                worst = max(
-                    worst,
-                    verify_invariance(field_obj, field_obj.source, k, s, 40, seed),
-                )
-        per_family[name] = worst
-        worst_overall = max(worst_overall, worst)
-    s_grid = [t / 4 for t in range(-4, 5)]
-    points = [(0.3, 0.4, 0.5), (-0.2, 0.7, -0.1), (0.05, -0.6, 0.3)]
-    flow_error = max(flow_vs_closed_form(k, s_grid, points) for k in range(1, 7))
-    exp_field = fields["exp_x"]
-    coarse = abs(pde_residual(exp_field, exp_field.source, (0.0, 0.0, 0.0), 4e-3))
-    fine = abs(pde_residual(exp_field, exp_field.source, (0.0, 0.0, 0.0), 2e-3))
-    ratio = coarse / fine
-    ok = worst_overall <= residual_bound and flow_error <= 1e-8 and 3.5 <= ratio <= 4.5
+    checks = check_solutions(40, seed)
     return Claim(
         "solution-transformations",
-        CONFIRMED if ok else DISCREPANCY,
+        CONFIRMED if checks.holds() else DISCREPANCY,
         {
-            "max_residual_by_family": per_family,
-            "residual_bound": residual_bound,
-            "flow_vs_closed_form_max_error": flow_error,
-            "second_order_convergence_ratio": ratio,
+            "max_residual_by_family": checks.family_max(),
+            "residual_bound": RESIDUAL_BOUND,
+            "flow_vs_closed_form_max_error": checks.flow_error,
+            "second_order_convergence_ratio": checks.convergence_ratio,
         },
     )
 

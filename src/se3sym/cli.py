@@ -22,7 +22,7 @@ from .jets import (
     rigid_basis_field,
 )
 from .optimal import canonicalize_screw, classify_1d_paper, equivalence_search, proportionality_scale
-from .solutions import builtin_fields, flow_vs_closed_form, pde_residual, verify_invariance
+from .solutions import SOLUTION_PARAMETERS, builtin_fields, check_solutions
 
 DEFAULT_SEED = 42
 
@@ -249,40 +249,22 @@ def _run_verify_solutions(flags: Dict, seed: int) -> int:
         raise UsageError("--samples must be at least 1")
     fields = builtin_fields()
     family = flags["family"]
-    if family is not None:
-        if family not in fields:
-            raise UsageError(
-                f"--family must be one of {sorted(fields)}, got {family!r}"
-            )
-        fields = {family: fields[family]}
-    parameters = [0.3, -0.7]
-    families_payload = {}
-    for name, field_obj in fields.items():
-        per_generator = {}
-        for k in range(1, 7):
-            worst = max(
-                verify_invariance(field_obj, field_obj.source, k, s, flags["samples"], seed)
-                for s in parameters
-            )
-            per_generator[str(k)] = worst
-        families_payload[name] = {
-            "source": field_obj.source.kind,
-            "max_residual_by_generator": per_generator,
-        }
-    exp_field = builtin_fields()["exp_x"]
-    coarse = abs(pde_residual(exp_field, exp_field.source, (0.0, 0.0, 0.0), 4e-3))
-    fine = abs(pde_residual(exp_field, exp_field.source, (0.0, 0.0, 0.0), 2e-3))
-    s_grid = [t / 4 for t in range(-4, 5)]
-    points = [(0.3, 0.4, 0.5), (-0.2, 0.7, -0.1)]
+    if family is not None and family not in fields:
+        raise UsageError(f"--family must be one of {sorted(fields)}, got {family!r}")
+    checks = check_solutions(flags["samples"], seed, None if family is None else [family])
     payload = {
-        "families": families_payload,
-        "parameters": parameters,
+        "families": {
+            name: {
+                "source": fields[name].source.kind,
+                "max_residual_by_generator": {str(k): r for k, r in by_k.items()},
+            }
+            for name, by_k in checks.residuals.items()
+        },
+        "parameters": list(SOLUTION_PARAMETERS),
         "samples": flags["samples"],
         "seed": seed,
-        "convergence_ratio": coarse / fine,
-        "flow_vs_closed_form_max": max(
-            flow_vs_closed_form(k, s_grid, points) for k in range(1, 7)
-        ),
+        "convergence_ratio": checks.convergence_ratio,
+        "flow_vs_closed_form_max": checks.flow_error,
     }
     _print_json(payload)
     return 0

@@ -479,14 +479,21 @@ def classify_1d_many(coords: np.ndarray) -> OneDimBatch:
 def proportionality_scale(
     mapped: AlgebraElement, target: AlgebraElement, tol: float = PATTERN_TOL
 ) -> Optional[float]:
-    """lam with mapped = lam * target, or None."""
+    """lam with mapped = lam * target, or None.
+
+    Both sides are compared at unit scale (divided by their largest absolute
+    coordinate), so the verdict does not depend on the magnitude of either.
+    """
     mc, tc = mapped.as_array(), target.as_array()
-    denom = float(tc @ tc)
-    if denom == 0.0:
+    m_max, t_max = float(np.abs(mc).max()), float(np.abs(tc).max())
+    if not (0.0 < m_max < math.inf and 0.0 < t_max < math.inf):
         return None
-    lam = float(mc @ tc) / denom
-    scale = max(1.0, float(np.abs(mc).max()), abs(lam) * float(np.abs(tc).max()))
-    if np.abs(mc - lam * tc).max() > tol * scale or lam == 0.0:
+    mu, tu = mc / m_max, tc / t_max
+    ratio = float(mu @ tu) / float(tu @ tu)
+    if np.abs(mu - ratio * tu).max() > tol * max(1.0, abs(ratio)):
+        return None
+    lam = ratio * (m_max / t_max)
+    if lam == 0.0 or not math.isfinite(lam):
         return None
     return lam
 

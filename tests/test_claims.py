@@ -14,6 +14,7 @@ from se3sym.claims import (
 from se3sym.adjoint import closed_form
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "check_claims_seed42.json"
 
 
 @pytest.fixture(scope="module")
@@ -140,3 +141,28 @@ def test_published_commutator_fixture_is_antisymmetric():
             assert PUBLISHED_COMMUTATORS[i][j] == tuple(
                 -t for t in PUBLISHED_COMMUTATORS[j][i]
             )
+
+
+def _assert_matches_golden(got, want, path="report"):
+    """Keys, strings, integers and booleans exactly; floats within 1e-9
+    relative or 1e-12 absolute."""
+    if isinstance(want, float) or isinstance(got, float):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), path
+        assert abs(got - want) <= max(1e-9 * abs(want), 1e-12), (path, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            _assert_matches_golden(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches_golden(g, w, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+def test_default_report_matches_the_golden():
+    """The default check-claims report, recorded before the RK4 flow became
+    a batched propagator; see CHANGES.md for the fields that moved."""
+    got = json.loads(claims_report(samples=100000, seed=42).to_json())
+    _assert_matches_golden(got, json.loads(GOLDEN.read_text()))

@@ -99,11 +99,12 @@ def test_classify_and_equiv_at_extreme_magnitudes(vector):
     payload = json.loads(out)
     _validate(payload, "classify.json")
     assert payload["representative"]["case"] == "A14"
-    status, out = _run(["equiv", "--x", vector, "--y", "1,2,0,3,1,2"])
-    assert status == 0
-    payload = json.loads(out)
-    _validate(payload, "equiv.json")
-    assert payload["equivalent"] is True
+    for x, y in ((vector, "1,2,0,3,1,2"), ("1,2,0,3,1,2", vector)):
+        status, out = _run(["equiv", "--x", x, "--y", y])
+        assert status == 0
+        payload = json.loads(out)
+        _validate(payload, "equiv.json")
+        assert payload["equivalent"] is True
 
 
 def test_classify_malformed_vector():

@@ -350,6 +350,36 @@ def test_equivalence_iff_invariants_match():
         assert (word is not None) == match
 
 
+def test_proportionality_has_no_absolute_floor():
+    tiny = AlgebraElement.numeric([1e-10, 0, 0, 0, 0, 0])
+    assert proportionality_scale(tiny, AlgebraElement.numeric([1e-10, 1e-10, 0, 0, 0, 0])) is None
+    assert proportionality_scale(tiny, AlgebraElement.numeric([2e-10, 0, 0, 0, 0, 0])) == 0.5
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(-150, 150), st.integers(-150, 150))
+def test_equivalence_verdict_is_scale_free(seed, conjugate, kx, ky):
+    rng = np.random.default_rng(seed)
+    x = AlgebraElement.numeric(rng.standard_normal(6))
+    if conjugate:
+        word = AdjointWord(
+            tuple((int(rng.integers(1, 7)), float(rng.uniform(-2, 2))) for _ in range(3))
+        )
+        y = float(rng.uniform(0.2, 3.0)) * apply_word(word, x)
+    else:
+        y = AlgebraElement.numeric(rng.standard_normal(6))
+    xs = AlgebraElement.numeric(x.as_array() * 10.0**kx)
+    ys = AlgebraElement.numeric(y.as_array() * 10.0**ky)
+    word = equivalence_search(x, y)
+    scaled_word = equivalence_search(xs, ys)
+    assert (word is not None) == (scaled_word is not None) == conjugate
+    if conjugate:
+        lam = proportionality_scale(apply_word(word, x), y)
+        scaled_lam = proportionality_scale(apply_word(scaled_word, xs), ys)
+        want = lam * 10.0 ** (kx - ky)
+        assert abs(scaled_lam - want) <= 1e-9 * abs(want)
+
+
 def test_equivalence_on_constructed_orbit_pairs():
     rng = np.random.default_rng(43)
     for _ in range(100):

@@ -1,14 +1,22 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from se3sym.algebra import AlgebraElement, X1, X4, X6
+from se3sym.claims import claims_report
 from se3sym.solutions import (
+    FLOW_POINTS,
+    FLOW_S_GRID,
+    FlowError,
     OutsideBoxError,
     ScalarField,
     SourceTerm,
     builtin_fields,
+    check_solutions,
     flow,
     flow_point,
     flow_vs_closed_form,
@@ -158,3 +166,146 @@ def test_source_terms():
 def test_custom_field_round_trip():
     field = ScalarField(lambda px, py, pz: px + pz, "x + z", SourceTerm.zero())
     assert abs(pde_residual(field, field.source, (0.1, 0.1, 0.1), 1e-3)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the affine propagator against the literal step-by-step integrator
+# ---------------------------------------------------------------------------
+
+
+def _rk4_loop(coeffs, s, p, step=1e-3):
+    """Oracle: n literal RK4 steps, one stage at a time, in plain floats."""
+    v1, v2, v3, w1, w2, w3 = (float(c) for c in coeffs)
+
+    def velocity(px, py, pz):
+        return (v1 + w2 * pz - w3 * py, v2 + w3 * px - w1 * pz, v3 + w1 * py - w2 * px)
+
+    n = max(1, math.ceil(abs(s) / step))
+    h = s / n
+    px, py, pz = (float(t) for t in p)
+    for _ in range(n):
+        a1, a2, a3 = velocity(px, py, pz)
+        b1, b2, b3 = velocity(px + 0.5 * h * a1, py + 0.5 * h * a2, pz + 0.5 * h * a3)
+        c1, c2, c3 = velocity(px + 0.5 * h * b1, py + 0.5 * h * b2, pz + 0.5 * h * b3)
+        d1, d2, d3 = velocity(px + h * c1, py + h * c2, pz + h * c3)
+        px += (h / 6.0) * (a1 + 2 * b1 + 2 * c1 + d1)
+        py += (h / 6.0) * (a2 + 2 * b2 + 2 * c2 + d2)
+        pz += (h / 6.0) * (a3 + 2 * b3 + 2 * c3 + d3)
+    return np.array((px, py, pz))
+
+
+coordinates = st.lists(st.floats(-10, 10), min_size=6, max_size=6)
+parameters = st.floats(-2, 2)
+box_points = st.lists(st.floats(-1, 1), min_size=3, max_size=3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(coordinates, parameters, box_points)
+def test_propagator_matches_the_step_loop(coeffs, s, p):
+    want = _rk4_loop(coeffs, s, p)
+    got = np.array(flow_point(AlgebraElement.numeric(coeffs), s, p))
+    assert np.abs(got - want).max() <= 1e-11 * max(1.0, np.abs(want).max())
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(st.tuples(coordinates, parameters, box_points), min_size=1, max_size=12))
+def test_batch_rows_equal_single_flows_bit_for_bit(rows):
+    coords = np.array([r[0] for r in rows])
+    s = np.array([r[1] for r in rows])
+    points = np.array([r[2] for r in rows])
+    batch = flow(coords, s, points, u0=0.25)
+    assert batch.endpoint.shape == (len(rows), 4)
+    for i in range(len(rows)):
+        single = flow(AlgebraElement.numeric(coords[i]), s[i], tuple(points[i]), u0=0.25)
+        assert single.endpoint == tuple(batch.endpoint[i])
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(-1e100, 1e100), min_size=6, max_size=6), box_points)
+def test_zero_parameter_is_the_identity(coeffs, p):
+    assert flow_point(AlgebraElement.numeric(coeffs), 0.0, p) == tuple(p)
+
+
+def test_steps_sum_over_rows():
+    s = np.array([0.0, 0.25, -1.0, 1e-4])
+    assert flow(X4.to_float(), s, (0.1, 0.2, 0.3)).steps == 1 + 250 + 1000 + 1
+    # the claims grid: six generators x nine parameters x three points
+    coords = np.repeat(np.eye(6), len(FLOW_S_GRID) * len(FLOW_POINTS), axis=0)
+    s_rows = np.tile(np.repeat(FLOW_S_GRID, len(FLOW_POINTS)), 6)
+    p_rows = np.tile(np.array(FLOW_POINTS), (6 * len(FLOW_S_GRID), 1))
+    assert flow(coords, s_rows, p_rows).steps == 90_018
+
+
+def test_batch_broadcasts_one_element_over_rows():
+    s = np.linspace(-1, 1, 5)
+    batch = flow_point(X6.to_float(), s, (0.3, 0.4, 0.5))
+    assert batch.shape == (5, 3)
+    for i, si in enumerate(s):
+        assert tuple(batch[i]) == flow_point(X6.to_float(), si, (0.3, 0.4, 0.5))
+
+
+@pytest.mark.parametrize("step", [-1e-3, 0.0, 0, math.inf, math.nan])
+def test_flow_rejects_bad_step(step):
+    with pytest.raises(ValueError, match="step"):
+        flow(X1.to_float(), 0.5, (0.0, 0.0, 0.0), step=step)
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+def test_flow_rejects_non_finite_parameter(s):
+    with pytest.raises(ValueError, match="s must be finite"):
+        flow(X1.to_float(), s, (0.0, 0.0, 0.0))
+
+
+def test_flow_rejects_non_finite_element_and_point():
+    with pytest.raises(ValueError, match="x_elem"):
+        flow(np.array([1.0, 0, 0, 0, 0, math.nan]), 0.5, (0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="p must be finite"):
+        flow(X1.to_float(), 0.5, (0.0, math.inf, 0.0))
+    with pytest.raises(ValueError, match="p must have shape"):
+        flow(X1.to_float(), 0.5, (0.0, 0.0))
+
+
+def test_huge_parameter_returns_in_log_time():
+    element = AlgebraElement.numeric([1, 2, 3, 0.4, 0.5, 0.6])
+    start = time.perf_counter()
+    result = flow(element, 1e9, (0.1, 0.2, 0.3))
+    assert time.perf_counter() - start < 0.5
+    assert result.steps == 10**12
+    assert all(math.isfinite(t) for t in result.endpoint)
+
+
+def test_step_count_beyond_the_limit_is_a_value_error():
+    start = time.perf_counter()
+    for s in (1e300, -1e300, 1e20):
+        with pytest.raises(ValueError, match="steps"):
+            flow(X1.to_float(), s, (0.0, 0.0, 0.0))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_non_finite_endpoint_is_a_flow_error():
+    # h|w| = 100 per step: the RK4 step map is unstable and the state overflows
+    element = AlgebraElement.numeric([1, 2, 3, 1e5, 1e5, 1e5])
+    with pytest.raises(FlowError):
+        flow(element, 1e3, (0.1, 0.2, 0.3))
+
+
+# ---------------------------------------------------------------------------
+# the solution-transformation experiment
+# ---------------------------------------------------------------------------
+
+
+def test_check_solutions_matches_the_claim():
+    checks = check_solutions(40, 7)
+    assert checks.holds()
+    evidence = {c.claim_id: c.evidence for c in claims_report(samples=1000, seed=7).claims}[
+        "solution-transformations"
+    ]
+    assert evidence["max_residual_by_family"] == checks.family_max()
+    assert evidence["flow_vs_closed_form_max_error"] == checks.flow_error
+    assert evidence["second_order_convergence_ratio"] == checks.convergence_ratio
+
+
+def test_check_solutions_one_family():
+    checks = check_solutions(10, 3, ["xy"])
+    assert list(checks.residuals) == ["xy"]
+    assert sorted(checks.residuals["xy"]) == [1, 2, 3, 4, 5, 6]
