@@ -47,21 +47,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="print the basis commutator table")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_table.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p_adj = sub.add_parser("adjoint", help="one-parameter adjoint matrix")
     p_adj.add_argument("--gen", type=int, required=True)
     p_adj.add_argument("--param", type=float, default=None)
-    p_adj.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p_cls = sub.add_parser("classify", help="canonical forms of an element")
     p_cls.add_argument("--vector", type=str, required=True)
-    p_cls.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p_eq = sub.add_parser("equiv", help="search for an adjoint word linking two elements")
     p_eq.add_argument("--x", type=str, required=True)
     p_eq.add_argument("--y", type=str, required=True)
-    p_eq.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p_claims = sub.add_parser("check-claims", help="recompute all published claims")
     p_claims.add_argument("--samples", type=int, default=100000)
@@ -69,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_pro = sub.add_parser("prolong", help="defining-system residuals of a point field")
     p_pro.add_argument("--field", type=str, required=True)
-    p_pro.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p_ver = sub.add_parser("verify-solutions", help="residuals of the transported solutions")
     p_ver.add_argument("--family", type=str, default=None)
@@ -83,7 +78,7 @@ def parse_request(argv: Sequence[str]) -> CommandRequest:
     namespace = _build_parser().parse_args(list(argv))
     flags = dict(vars(namespace))
     subcommand = flags.pop("subcommand")
-    seed = flags.pop("seed")
+    seed = flags.pop("seed", DEFAULT_SEED)
     if seed < 0:
         raise UsageError("--seed must be a nonnegative integer")
     return CommandRequest(subcommand, flags, seed)

@@ -1,13 +1,15 @@
 """Classification of se(3) elements and subalgebras under the adjoint action.
 
 Two routes normalize a nonzero element: the literal seven-case parameter
-recipes of the published classification, and an independent screw-geometry
-normalizer (align the rotation part with a coordinate axis, translate away
-the perpendicular translation part).  The recipes are tried first; whenever
-they are ill-defined or leave a residual, the geometric route takes over and
-the result is flagged.  Orbit invariants |w|^2 and v.w decide which target
-patterns are reachable at all.  classify_1d_paper normalizes one element;
-classify_1d_many takes the same decisions for an (n, 6) array at once.
+recipes of the published classification, and the screw canonical form
+(turn a translation onto x; otherwise turn the rotation part onto z and
+translate away the perpendicular translation part).  The recipes are tried
+first; whenever they are ill-defined or leave a residual, the screw
+canonical form takes over and the result is flagged.  Its patterns are
+fixed: A12 (X_1) for a translation, else A14 (X_3 + b X_6), or A11 (X_6)
+where the pitch is too small for A14 to verify.  classify_1d_paper
+normalizes one element; classify_1d_many takes the same decisions for an
+(n, 6) array at once.
 """
 
 from __future__ import annotations
@@ -153,12 +155,8 @@ def _unit(x: AlgebraElement) -> Tuple[np.ndarray, float]:
     return coords / m, m
 
 
-def _dot3(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
-
-
 def _norm3(p: np.ndarray) -> np.ndarray:
-    return np.sqrt(_dot3(p, p))
+    return np.sqrt(p[..., 0] * p[..., 0] + p[..., 1] * p[..., 1] + p[..., 2] * p[..., 2])
 
 
 def _apply_steps(steps, coords: np.ndarray) -> np.ndarray:
@@ -177,47 +175,34 @@ def _disallowed(tag: str) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# geometric normalizer
+# screw canonical form
 # ---------------------------------------------------------------------------
 
-_AXIS_ROT_INDEX = {"x": 3, "y": 4, "z": 5}  # 0-based coordinate of the rotation part
+
+def _is_translation(unit: np.ndarray) -> np.ndarray:
+    """Where the rotation part of unit-scale coordinates vanishes."""
+    return _norm3(unit[..., 3:]) <= ZERO_TOL
 
 
-def _rotation_steps(n: np.ndarray, axis: str) -> List[Tuple[int, np.ndarray]]:
-    """Rotation steps mapping direction n = n[..., 0:3] to the positive axis."""
+def _screw_steps(coords: np.ndarray, translation: bool):
+    """Steps to the screw canonical form, the coordinates they lead to and
+    the case patterns to try on those coordinates, in order.
+
+    A translation v is turned onto x: X_1 up to scale, pattern A12.
+    Otherwise the rotation part w is turned onto z and the translation part
+    perpendicular to it is moved away: X_6 + pitch X_3 up to scale, pattern
+    A14, or A11 where the pitch is too small for A14 to verify.
+    """
+    n = coords[..., :3] if translation else coords[..., 3:]
     phi = np.arctan2(n[..., 1], n[..., 0])
     theta = np.arctan2(np.hypot(n[..., 0], n[..., 1]), n[..., 2])
-    if axis == "x":
-        return [(6, -phi), (5, math.pi / 2 - theta)]
-    if axis == "y":
-        return [(6, -phi), (5, -theta), (4, -math.pi / 2)]
-    return [(6, -phi), (5, -theta)]
-
-
-def _kill_translation_steps(v: np.ndarray, w_mag, axis: str) -> List[Tuple[int, np.ndarray]]:
-    """Translation steps removing the v components perpendicular to the axis."""
-    v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
-    if axis == "z":
-        return [(2, -v1 / w_mag), (1, v2 / w_mag)]
-    if axis == "x":
-        return [(3, -v2 / w_mag), (2, v3 / w_mag)]
-    return [(3, v1 / w_mag), (1, -v3 / w_mag)]
-
-
-def _geometric_steps(coords: np.ndarray, axis: str, translation: bool):
-    """Steps of the geometric normalizer and the coordinates they lead to.
-
-    A translation is turned onto the axis.  Otherwise the rotation part is
-    turned onto the axis and the translation part perpendicular to it is
-    moved away.
-    """
-    steps = _rotation_steps(coords[..., :3] if translation else coords[..., 3:], axis)
+    if translation:
+        steps = [(6, -phi), (5, math.pi / 2 - theta)]
+        return steps, _apply_steps(steps, coords), ("A12",)
+    steps = [(6, -phi), (5, -theta)]
     moved = _apply_steps(steps, coords)
-    if not translation:
-        kills = _kill_translation_steps(moved[..., :3], moved[..., _AXIS_ROT_INDEX[axis]], axis)
-        moved = _apply_steps(kills, moved)
-        steps += kills
-    return steps, moved
+    kills = [(2, -moved[..., 0] / moved[..., 5]), (1, moved[..., 1] / moved[..., 5])]
+    return steps + kills, _apply_steps(kills, moved), ("A14", "A11")
 
 
 def canonicalize_screw(x: AlgebraElement) -> ScrewForm:
@@ -225,10 +210,10 @@ def canonicalize_screw(x: AlgebraElement) -> ScrewForm:
     if x.is_zero():
         raise ValueError("cannot canonicalize the zero element")
     unit, m = _unit(x)
-    if _norm3(unit[3:]) <= ZERO_TOL:
-        steps, _ = _geometric_steps(unit, "x", translation=True)
+    translation = bool(_is_translation(unit))
+    steps, moved, _ = _screw_steps(unit, translation)
+    if translation:
         return ScrewForm("translation", None, _word(steps), float(1.0 / _norm3(unit[:3]) / m))
-    steps, moved = _geometric_steps(unit, "z", translation=False)
     pitch = pitch_of(AlgebraElement.numeric(unit))
     return ScrewForm("screw", pitch, _word(steps), float(1.0 / moved[5] / m))
 
@@ -319,45 +304,6 @@ def _normalize_to_case(coords: np.ndarray, tag: str):
     return ok & (np.abs(a) > PATTERN_TOL), scale, normalized, a, b
 
 
-# fallback targets: axis used for the screw alignment and the tag whose
-# pattern that alignment realizes, keyed by (original tag, invariant regime)
-_TRANSLATION_TARGET = {
-    "A12": "x", "A15": "x", "A16": "x",
-    "A13": "y", "A17": "y",
-    "A14": "z",
-}
-_SCREW_TARGET = {
-    "A12": ("x", "A12"), "A16": ("x", "A12"),
-    "A13": ("y", "A13"), "A17": ("y", "A13"),
-    "A14": ("z", "A14"), "A15": ("z", "A14"),
-}
-_AXIS_TRANSLATION_TAG = {"x": "A12", "y": "A13", "z": "A14"}
-
-
-def _fallback_plans(coords: np.ndarray, tag: str):
-    """Geometric plans for the invariant-reachable pattern closest to tag.
-
-    Returns (where, new tag, axis, translation) for each of the three
-    regimes: a translation, a screw of zero pitch (its axis absorbs the
-    whole translation part) and any other screw.  where selects the
-    elements in the regime; the three exclude each other.
-    """
-    w_norm = _norm3(coords[..., 3:])
-    v_norm = _norm3(coords[..., :3])
-    translation = w_norm <= ZERO_TOL
-    zero_pitch = ~translation & (
-        (v_norm == 0.0)
-        | (np.abs(_dot3(coords[..., :3], coords[..., 3:])) <= ZERO_TOL * v_norm * w_norm)
-    )
-    axis = _TRANSLATION_TARGET.get(tag, "x")
-    screw_axis, screw_tag = _SCREW_TARGET.get(tag, ("z", "A14"))
-    return (
-        (translation, _AXIS_TRANSLATION_TAG[axis], axis, True),
-        (zero_pitch, "A11", "z", False),
-        (~translation & ~zero_pitch, screw_tag, screw_axis, False),
-    )
-
-
 def _representative(tag, steps, moved, m, fallback) -> Optional[OneDimRepresentative]:
     ok, scale, normalized, a, b = _normalize_to_case(moved, tag)
     if not ok:
@@ -379,11 +325,13 @@ def classify_1d_paper(x: AlgebraElement) -> OneDimRepresentative:
     The case is picked from the vanishing pattern of the translation
     coordinates.  The published parameter recipe for that case is applied
     verbatim; if the outcome misses the case pattern (the rotation-part
-    invariants frequently make it unreachable), the geometric normalizer
-    produces a verified word instead and the result carries fallback=True,
-    possibly under the invariant-compatible tag.  The work is done on
-    x / max |coordinate|, so the result does not depend on the magnitude of
-    x.  classify_1d_many takes the same steps for an array of elements.
+    invariants frequently make it unreachable) and the element is not in
+    that pattern already, the screw canonical form produces a verified word
+    instead and the result carries fallback=True and a fixed pattern: A12
+    for a translation, else A14, or A11 where the pitch is too small for A14
+    to verify.  The work is done on x / max |coordinate|, so the result does
+    not depend on the magnitude of x.  classify_1d_many takes the same steps
+    for an array of elements.
     """
     if x.is_zero():
         raise ValueError("cannot classify the zero element")
@@ -398,12 +346,12 @@ def classify_1d_paper(x: AlgebraElement) -> OneDimRepresentative:
     rep = _representative(tag, [], unit, m, True)
     if rep is not None:
         return rep
-    _, new_tag, axis, translation = next(p for p in _fallback_plans(unit, tag) if p[0])
-    steps, moved = _geometric_steps(unit, axis, translation)
-    rep = _representative(new_tag, steps, moved, m, True)
-    if rep is None:
-        raise AssertionError(f"geometric normalizer failed for {x}")
-    return rep
+    steps, moved, targets = _screw_steps(unit, bool(_is_translation(unit)))
+    for target in targets:
+        rep = _representative(target, steps, moved, m, True)
+        if rep is not None:
+            return rep
+    raise AssertionError(f"screw canonical form meets no fallback pattern for {x}")
 
 
 def classify_1d_many(coords: np.ndarray) -> OneDimBatch:
@@ -412,9 +360,10 @@ def classify_1d_many(coords: np.ndarray) -> OneDimBatch:
     Each row goes through the same decisions in the same order, with the
     same arithmetic, as in classify_1d_paper, a group of rows at a time: the
     rows of one case tag try its published recipe, then the case pattern
-    without motion, then the geometric fallback of their regime.  Raises
-    AssertionError naming the row on which the geometric normalizer fails,
-    as classify_1d_paper raises for that element.
+    without motion; then all rows left take the screw canonical form, the
+    translations and the screws as one group each.  Raises AssertionError
+    naming the first row that meets no fallback pattern, as
+    classify_1d_paper raises for that element.
     """
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != DIM:
@@ -430,21 +379,26 @@ def classify_1d_many(coords: np.ndarray) -> OneDimBatch:
     out_tags = tags.copy()
     a, b, scale = np.full(n, np.nan), np.zeros(n), np.zeros(n)
     fallback = np.ones(n, dtype=bool)
+    done = np.zeros(n, dtype=bool)
     representatives = np.zeros((n, DIM))
     steps: List[Tuple[int, np.ndarray]] = []
 
-    def accept(rows, tag, group_steps, moved):
-        """Keep the rows whose moved coordinates meet the pattern of tag."""
+    def accept(rows, tag, moved):
+        """Take the rows whose moved coordinates meet the pattern of tag."""
         ok, s, normalized, ca, cb = _normalize_to_case(moved, tag)
         kept = rows[ok]
         out_tags[kept] = tag
         a[kept], b[kept], scale[kept] = ca[ok], cb[ok], s[ok] / m[kept]
         representatives[kept] = normalized[ok]
-        for index, parameter in group_steps if kept.size else ():
-            column = np.zeros(n)
-            column[kept] = np.broadcast_to(parameter, ok.shape)[ok]
-            steps.append((index, column))
+        done[kept] = True
         return ok
+
+    def record(rows, group_steps, taken):
+        """Append the steps of the taken rows as columns, 0 in every other row."""
+        for index, parameter in group_steps if taken.any() else ():
+            column = np.zeros(n)
+            column[rows[taken]] = np.broadcast_to(parameter, taken.shape)[taken]
+            steps.append((index, column))
 
     for tag in CASE_TAGS:
         rows = np.flatnonzero(tags == tag)
@@ -453,21 +407,28 @@ def classify_1d_many(coords: np.ndarray) -> OneDimBatch:
         defined, recipe = _recipe(tag, unit[rows])
         tried = rows[defined]
         recipe = [(index, p[defined]) for index, p in recipe]
-        solved = tried[accept(tried, tag, recipe, _apply_steps(recipe, unit[tried]))]
-        fallback[solved] = False
+        ok = accept(tried, tag, _apply_steps(recipe, unit[tried]))
+        record(tried, recipe, ok)
+        fallback[tried[ok]] = False
         # already in the case pattern without any motion
-        rows = np.setdiff1d(rows, solved, assume_unique=True)
-        rows = rows[~accept(rows, tag, [], unit[rows])]
-        for where, new_tag, axis, translation in _fallback_plans(unit[rows], tag):
-            group = rows[where]
-            if group.size:
-                group_steps, moved = _geometric_steps(unit[group], axis, translation)
-                ok = accept(group, new_tag, group_steps, moved)
-                if not ok.all():
-                    row = int(group[np.argmin(ok)])
-                    raise AssertionError(
-                        f"geometric normalizer failed for row {row}: {coords[row].tolist()}"
-                    )
+        rows = rows[~done[rows]]
+        accept(rows, tag, unit[rows])
+    translation = _is_translation(unit)
+    for regime in (True, False):
+        rows = np.flatnonzero(~done & (translation == regime))
+        if not rows.size:
+            continue
+        group_steps, moved, targets = _screw_steps(unit[rows], regime)
+        for target in targets:
+            left = ~done[rows]
+            accept(rows[left], target, moved[left])
+        record(rows, group_steps, done[rows])
+        if not done[rows].all():
+            row = int(rows[np.argmin(done[rows])])
+            raise AssertionError(
+                f"screw canonical form meets no fallback pattern for row {row}: "
+                f"{coords[row].tolist()}"
+            )
     return OneDimBatch(out_tags, a, b, scale, fallback, representatives, tuple(steps))
 
 

@@ -110,7 +110,7 @@ def test_one_dim_claim_has_conjugacy_words(report):
     assert sweep["max_disallowed_coordinate"] < 1e-9
     recipe = claim.evidence["published_recipe_sample"]
     assert recipe["max_disallowed_after_recipe"] > 1.0
-    assert recipe["verified_fallback"]["case"] == "A12"
+    assert recipe["verified_fallback"]["case"] == "A14"
 
 
 def test_five_dim_claim_label(report):

@@ -85,7 +85,7 @@ def test_classify_accepts_rationals_and_floats():
     status, out = _run(["classify", "--vector", "1/2,0,0,3,1,2"])
     assert status == 0
     payload = json.loads(out)
-    assert payload["representative"]["case"] == "A12"
+    assert payload["representative"]["case"] == "A14"
     status, _ = _run(["classify", "--vector", "0.5,0,0,3.0,1,2"])
     assert status == 0
 
@@ -214,4 +214,8 @@ def test_check_claims_byte_identical_runs():
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as info:
         _run(["table", "--nope"])
+    assert info.value.code == 2
+    # only check-claims and verify-solutions draw random numbers
+    with pytest.raises(SystemExit) as info:
+        _run(["table", "--seed", "1"])
     assert info.value.code == 2

@@ -108,7 +108,7 @@ def test_classify_pure_rotation_axis_aligned():
 def test_classify_two_translation_case_needs_fallback():
     element = AlgebraElement.exact([1, 0, 0, 3, 1, 2])
     rep = classify_1d_paper(element)
-    assert rep.case_tag == "A12"
+    assert rep.case_tag == "A14"
     assert rep.fallback
     assert abs(rep.b - 14 / 3) < 1e-12
     assert _max_disallowed(rep) < 1e-9
@@ -289,6 +289,50 @@ def test_batch_raises_where_the_oracle_raises():
         classify_1d_many(coords)
     with pytest.raises(AssertionError, match="row 1:"):
         classify_1d_many(coords[[0, 1839, 1]])
+
+
+def _pitch_band(lo, hi, count, seed):
+    """Gaussian w, a v perpendicular to w of similar size, plus pitch * w,
+    with |pitch| log-uniform in [lo, hi] and a random sign."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((count, 3))
+    u = rng.standard_normal((count, 3))
+    v = u - ((u * w).sum(axis=1) / (w * w).sum(axis=1))[:, None] * w
+    pitch = np.exp(rng.uniform(math.log(lo), math.log(hi), count)) * rng.choice([-1, 1], count)
+    return np.hstack([v + pitch[:, None] * w, w])
+
+
+def test_near_zero_pitch_lands_in_a11_without_raising():
+    # too small a pitch for the A14 lead to verify; the A11 pattern does
+    coords = _pitch_band(1e-12, 1e-9, 400, 7)
+    batch = classify_1d_many(coords)
+    assert (batch.case_tags == "A11").all() and batch.fallback.all()
+    for i, x in enumerate(coords):
+        rep = classify_1d_paper(AlgebraElement.numeric(x))
+        assert rep.case_tag == "A11"
+        assert batch.word(i).steps == rep.word.steps
+        assert (batch.scale[i], batch.b[i]) == (rep.scale, rep.b)
+        assert np.array_equal(batch.representatives[i], rep.representative.as_array())
+
+
+def test_every_fallback_is_the_screw_canonical_form():
+    # Gaussians with each zero pattern of v (tags A11 to A17), translations
+    # and zero-pitch elements; none starts in its own case pattern
+    rng = np.random.default_rng(53)
+    coords = rng.standard_normal((500, 6))
+    for pattern in range(8):
+        coords[50 * pattern : 50 * (pattern + 1), :3] *= [pattern & 1, (pattern >> 1) & 1, pattern >> 2]
+    coords[400:450, 3:] = 0.0
+    # translations whose A15 parameter a is too small to verify
+    coords[425:450, 1:3] *= [1e-13, 0.0]
+    coords[450:, :3] = np.cross(rng.standard_normal((50, 3)), coords[450:, 3:])
+    batch = classify_1d_many(coords)
+    reached = np.flatnonzero(batch.fallback)
+    assert set(batch.case_tags[reached]) == {"A11", "A12", "A14"}
+    assert batch.fallback[425:].all()
+    assert (batch.case_tags[425:450] == "A12").all() and (batch.case_tags[450:] == "A11").all()
+    for i in reached:
+        assert batch.word(i).steps == canonicalize_screw(AlgebraElement.numeric(coords[i])).word.steps
 
 
 def test_batch_replay_reproduces_the_representatives():
