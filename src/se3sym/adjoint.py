@@ -10,6 +10,7 @@ coordinates of the image of X_j, so coordinate vectors transform as rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,12 +48,15 @@ class TrigPoly(SparsePoly):
     def symbol(cls, name: str) -> "TrigPoly":
         return cls.variable(name)
 
-    def evaluate(self, sigma: float) -> float:
-        c, s = math.cos(sigma), math.sin(sigma)
-        total = 0.0
+    def evaluate(self, sigma):
+        """Value at one parameter (a float) or at each of an array of them."""
+        scalar = np.ndim(sigma) == 0
+        sigma = np.asarray(sigma, dtype=float)
+        c, s = np.cos(sigma), np.sin(sigma)
+        total = np.zeros_like(sigma)
         for (es, ec, esin), value in self.terms.items():
             total += float(value) * sigma**es * c**ec * s**esin
-        return total
+        return float(total) if scalar else total
 
 
 @dataclass(frozen=True)
@@ -61,10 +65,10 @@ class TrigPolyMatrix:
 
     entries: Tuple[Tuple[TrigPoly, ...], ...]
 
-    def evaluate(self, sigma: float) -> np.ndarray:
-        return np.array(
-            [[e.evaluate(sigma) for e in row] for row in self.entries], dtype=float
-        )
+    def evaluate(self, sigma) -> np.ndarray:
+        """The (6, 6) matrix at one parameter, or an (n, 6, 6) stack at n."""
+        values = np.array([[e.evaluate(sigma) for e in row] for row in self.entries], dtype=float)
+        return np.moveaxis(values, (0, 1), (-2, -1))
 
     def apply_rows(self, coeffs: Sequence) -> Tuple[TrigPoly, ...]:
         """Row-vector action: image coordinates of sum_j coeffs[j] X_j."""
@@ -96,56 +100,51 @@ def ad_matrix(x: AlgebraElement) -> Tuple[Tuple[Fraction, ...], ...]:
     return tuple(tuple(cols[j][k] for j in range(DIM)) for k in range(DIM))
 
 
-def _ad_float(i: int) -> np.ndarray:
-    return np.array(
-        [[float(v) for v in row] for row in ad_matrix(basis_element(i))], dtype=float
-    )
+def _ad_int(i: int) -> np.ndarray:
+    """Matrix of ad X_i on ints: the structure constants are integers."""
+    return np.array(ad_matrix(basis_element(i)), dtype=np.int64)
 
 
-_AD = {i: _ad_float(i) for i in range(1, 7)}
+_AD = {i: _ad_int(i).astype(float) for i in range(1, 7)}
 _AD2 = {i: _AD[i] @ _AD[i] for i in range(1, 7)}
 
 
-def adjoint_series(i: int, sigma: float, order: int) -> np.ndarray:
-    """Truncated series sum_k (-sigma ad)^k / k!, returned row-convention."""
+def adjoint_series(i: int, sigma, order: int) -> np.ndarray:
+    """Truncated series sum_k (-sigma ad)^k / k!, returned row-convention.
+
+    sigma is one parameter, giving a (6, 6) matrix, or an array of n, giving
+    an (n, 6, 6) stack.  Each column of ad holds at most one nonzero entry,
+    so every matrix product sums one product and zeros: a stacked entry is
+    the same float as the scalar one.
+    """
     if order < 1:
         raise ValueError("truncation order must be at least 1")
-    ad = _AD[i]
-    total = np.eye(DIM)
-    term = np.eye(DIM)
+    step = -np.multiply.outer(sigma, _AD[i])
+    total = np.broadcast_to(np.eye(DIM), step.shape)
+    term = total
     for k in range(1, order + 1):
-        term = term @ (-sigma * ad) / k
+        term = term @ step / k
         total = total + term
-    return total.T
-
-
-def _exact_matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[r][t] * b[t][c] for t in range(n)) for c in range(n))
-        for r in range(n)
-    )
+    return np.swapaxes(total, -2, -1)
 
 
 def adjoint_closed_form(i: int) -> TrigPolyMatrix:
     """Exact matrix of Ad(exp(s X_i)) built from the bracket operator."""
     if not 1 <= i <= DIM:
         raise ValueError(f"generator index {i} out of range 1..6")
-    ad = ad_matrix(basis_element(i))
-    ad2 = _exact_matmul(ad, ad)
+    ad_int = _ad_int(i)
+    ad2_int = ad_int @ ad_int
+    ad3_int = ad2_int @ ad_int
+    ad, ad2 = ad_int.tolist(), ad2_int.tolist()
     if i <= 3:
-        ad3 = _exact_matmul(ad2, ad)
-        if any(any(v != 0 for v in row) for row in ad3):
+        if ad3_int.any():
             raise AssertionError("translation generator is not nilpotent of order 3")
         s = TrigPoly.symbol("s")
         entry = lambda r, c: TrigPoly.constant(int(r == c)) - s * ad[r][c] + (
             s * s * Fraction(1, 2)
         ) * ad2[r][c]
     else:
-        ad3 = _exact_matmul(ad2, ad)
-        if any(
-            ad3[r][c] != -ad[r][c] for r in range(DIM) for c in range(DIM)
-        ):
+        if (ad3_int != -ad_int).any():
             raise AssertionError("rotation generator does not satisfy ad^3 = -ad")
         sin = TrigPoly.symbol("S")
         one_minus_cos = TrigPoly.constant(1) - TrigPoly.symbol("C")
@@ -157,11 +156,10 @@ def adjoint_closed_form(i: int) -> TrigPolyMatrix:
     return TrigPolyMatrix(rows)
 
 
-_CLOSED_FORMS = {i: adjoint_closed_form(i) for i in range(1, 7)}
-
-
+@functools.lru_cache(maxsize=None)
 def closed_form(i: int) -> TrigPolyMatrix:
-    return _CLOSED_FORMS[i]
+    """adjoint_closed_form(i), built on first use and kept."""
+    return adjoint_closed_form(i)
 
 
 def step_matrix(i: int, sigma: float) -> np.ndarray:

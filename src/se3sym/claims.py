@@ -272,10 +272,8 @@ def _claim_adjoint_matrices() -> List[Claim]:
                             "recomputed": str(computed.entries[r][c]),
                         }
                     )
-        series_error = 0.0
-        for sigma in sigmas:
-            diff = np.abs(adjoint_series(i, float(sigma), 30) - computed.evaluate(float(sigma)))
-            series_error = max(series_error, float(diff.max()))
+        diff = np.abs(adjoint_series(i, sigmas, 30) - computed.evaluate(sigmas))
+        series_error = float(diff.max())
         claims.append(
             Claim(
                 f"adjoint-matrix-x{i}",

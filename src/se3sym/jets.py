@@ -18,13 +18,15 @@ which stays inside second order term by term.
 
 from __future__ import annotations
 
+import functools
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import exact_solve
+from .linalg import exact_rref, nullspace_from_rref
 from .poly import Monomial, SparsePoly
 
 VARIABLES: Tuple[str, ...] = (
@@ -487,6 +489,79 @@ class PhiSolutionSpace:
         return g - JetPolynomial.constant(g.terms.get(_ZERO_MONOMIAL, Fraction(0)))
 
 
+class _PhiSystem(NamedTuple):
+    """The phi-system of one (f_mode, cap), reduced once.
+
+    The unknowns are the coefficients of g over monomials, then those of h.
+    Write A for the matrix of the system.  transform holds, for each row
+    that can carry a right-hand side, its key (equation, monomial) and its
+    column of an invertible N with N A = RREF(A) (stacked on zero rows), as
+    sparse (row, value) pairs; N b then reduces a right-hand side b.
+    """
+
+    monomials: Tuple[Monomial, ...]
+    pivots: Tuple[int, ...]
+    transform: Tuple[Tuple[Tuple[int, Monomial], Tuple[Tuple[int, Fraction], ...]], ...]
+    nullspace: Tuple[Tuple[Fraction, ...], ...]
+
+    def particular(self, rhs: Dict[Tuple[int, Monomial], Fraction]) -> Optional[List[Fraction]]:
+        """Solution of A x = b with the free unknowns zero, or None when there
+        is none.  rhs holds the nonzero entries of b by row key.  The system
+        is consistent when every right-hand key has a row and every reduced
+        row past the rank is zero."""
+        columns = dict(self.transform)
+        reduced: Dict[int, Fraction] = {}
+        for key, value in rhs.items():
+            column = columns.get(key)
+            if column is None:
+                return None
+            for r, entry in column:
+                reduced[r] = reduced.get(r, 0) + entry * value
+        rank = len(self.pivots)
+        if any(value for r, value in reduced.items() if r >= rank):
+            return None
+        zero = Fraction(0)
+        solution = [zero] * (2 * len(self.monomials))
+        for r, piv in enumerate(self.pivots):
+            solution[piv] = reduced.get(r, zero)
+        return solution
+
+
+@functools.lru_cache(maxsize=None)
+def _phi_system(f_mode: str, max_degree: int) -> _PhiSystem:
+    """The reduced phi-system.  Its equations, by index: 0..2 are
+    2 d_a g = lap(xi_a) for a = x, y, z, the only ones with a right-hand
+    side; 3 is lap(g) = 0; 4 is lap(h) = 0; for the generic source also
+    5, g = 0, and 6, h = 0.  Each equation has one row per monomial of its
+    left-hand side."""
+    monomials = tuple(_space_monomials(max_degree))
+    units = [JetPolynomial({mono: Fraction(1)}) for mono in monomials]
+    none = [JetPolynomial.zero()] * len(units)
+    laps = [_laplacian(p) for p in units]
+    # each equation as its columns: the images of the g unknowns, then of h
+    equations = [[2 * p.partial(axis) for p in units] + none for axis in ("x", "y", "z")]
+    equations += [laps + none, none + laps]
+    if f_mode == "generic":
+        equations += [units + none, none + units]
+    keys, rows = [], []
+    for index, columns in enumerate(equations):
+        for mono in sorted(set().union(*(c.terms for c in columns))):
+            keys.append((index, mono))
+            rows.append([c.terms.get(mono, 0) for c in columns])
+    ncols = 2 * len(monomials)
+    # [A | I] with the identity restricted to the right-hand-side rows: the
+    # reduced identity block is then the wanted columns of N
+    rhs_rows = [i for i, (index, _) in enumerate(keys) if index < 3]
+    mat, pivots = exact_rref([row + [int(i == j) for j in rhs_rows] for i, row in enumerate(rows)])
+    pivots = tuple(p for p in pivots if p < ncols)
+    transform = tuple(
+        (keys[j], tuple((r, row[ncols + k]) for r, row in enumerate(mat) if row[ncols + k]))
+        for k, j in enumerate(rhs_rows)
+    )
+    nullspace = tuple(nullspace_from_rref(mat, pivots, ncols))
+    return _PhiSystem(monomials, pivots, transform, nullspace)
+
+
 def solve_phi_for_xi(
     xi: Sequence[JetPolynomial], f_mode: str, max_degree: int = 3
 ) -> Optional[PhiSolutionSpace]:
@@ -496,7 +571,15 @@ def solve_phi_for_xi(
     identities hold for an arbitrary source, which forces phi = 0 and only
     leaves xi with divergence-free axis behaviour.  Returns None when the
     system is inconsistent (no admissible phi at all).
+
+    Only the right-hand sides lap(xi_a) depend on xi.  The system itself is
+    reduced once per mode and cap and kept; each call maps its right-hand
+    side through the stored row transform.  By uniqueness of the reduced
+    echelon form, the particular solution and the basis are those of
+    exact_solve on the whole system.
     """
+    if isinstance(max_degree, bool) or not isinstance(max_degree, numbers.Integral):
+        raise ValueError(f"degree cap must be an integer, got {max_degree!r}")
     if max_degree < 2:
         raise ValueError("degree cap must be at least 2")
     if f_mode not in ("zero", "generic"):
@@ -518,62 +601,23 @@ def solve_phi_for_xi(
     if any(not p.is_zero() for p in pure):
         return None
 
-    monomials = _space_monomials(max_degree)
-    nmono = len(monomials)
-
-    # unknowns: g coefficients then h coefficients
-    def g_poly(col: int) -> JetPolynomial:
-        return JetPolynomial({monomials[col]: Fraction(1)})
-
-    equations: List[Tuple[Optional[str], Optional[str], JetPolynomial]] = []
-    # each entry: (operator on g, operator on h, right-hand side)
-    equations.append(("2dx", None, _laplacian(xi1)))
-    equations.append(("2dy", None, _laplacian(xi2)))
-    equations.append(("2dz", None, _laplacian(xi3)))
-    equations.append(("lap", None, JetPolynomial.zero()))
-    equations.append((None, "lap", JetPolynomial.zero()))
-    if f_mode == "generic":
-        equations.append(("id", None, JetPolynomial.zero()))
-        equations.append((None, "id", JetPolynomial.zero()))
-
-    operators = {
-        "2dx": lambda p: 2 * p.partial("x"),
-        "2dy": lambda p: 2 * p.partial("y"),
-        "2dz": lambda p: 2 * p.partial("z"),
-        "lap": _laplacian,
-        "id": lambda p: p,
-    }
-
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-    for op_g, op_h, right in equations:
-        columns: List[JetPolynomial] = []
-        for col in range(nmono):
-            base = g_poly(col)
-            poly = operators[op_g](base) if op_g else JetPolynomial.zero()
-            columns.append(poly)
-        for col in range(nmono):
-            base = g_poly(col)
-            poly = operators[op_h](base) if op_h else JetPolynomial.zero()
-            columns.append(poly)
-        seen = set()
-        for poly in columns + [right]:
-            seen.update(poly.terms)
-        for mono in sorted(seen):
-            rows.append([col.terms.get(mono, Fraction(0)) for col in columns])
-            rhs.append(right.terms.get(mono, Fraction(0)))
-
-    solved = exact_solve(rows, rhs)
-    if solved is None:
+    system = _phi_system(f_mode, int(max_degree))
+    particular = system.particular({
+        (index, mono): value
+        for index, component in enumerate((xi1, xi2, xi3))
+        for mono, value in _laplacian(component).terms.items()
+    })
+    if particular is None:
         return None
-    particular, nullspace = solved
+    monomials = system.monomials
+    nmono = len(monomials)
 
     def unpack(vec) -> Tuple[JetPolynomial, JetPolynomial]:
         g = JetPolynomial({monomials[i]: vec[i] for i in range(nmono)})
         h = JetPolynomial({monomials[i]: vec[nmono + i] for i in range(nmono)})
         return g, h
 
-    return PhiSolutionSpace(unpack(particular), tuple(unpack(v) for v in nullspace))
+    return PhiSolutionSpace(unpack(particular), tuple(unpack(v) for v in system.nullspace))
 
 
 def field_from_phi(xi: Sequence[JetPolynomial], g: JetPolynomial, h: JetPolynomial) -> PointVectorField:

@@ -28,13 +28,14 @@ class SparsePoly:
     def __init__(self, terms: Optional[Terms] = None):
         store: Terms = {}
         for key, value in (terms or {}).items():
-            self._accumulate(store, key, Fraction(value))
+            self._accumulate(store, key, value if isinstance(value, Fraction) else Fraction(value))
         self.terms = {k: v for k, v in store.items() if v}
 
     @staticmethod
     def _accumulate(store: Terms, key: Monomial, value: Fraction) -> None:
         """Add value * key to store; the hook for a normal-form rewrite."""
-        store[key] = store.get(key, 0) + value
+        old = store.get(key)
+        store[key] = value if old is None else old + value
 
     @classmethod
     def _canonical(cls, store: Terms):
@@ -69,7 +70,8 @@ class SparsePoly:
     def __add__(self, other):
         merged = dict(self.terms)
         for key, value in self.coerce(other).terms.items():
-            merged[key] = merged.get(key, 0) + value
+            old = merged.get(key)
+            merged[key] = value if old is None else old + value
         return self._canonical(merged)
 
     __radd__ = __add__

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +98,60 @@ def test_closed_form_matches_series_everywhere():
         for sigma in SIGMAS:
             diff = np.abs(adjoint_series(i, float(sigma), 30) - matrix.evaluate(float(sigma)))
             assert diff.max() < 1e-12
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).tobytes()
+
+
+def test_batched_series_and_closed_form_equal_scalar_stacks_bit_for_bit():
+    for i in range(1, 7):
+        series = adjoint_series(i, SIGMAS, 30)
+        values = closed_form(i).evaluate(SIGMAS)
+        assert series.shape == values.shape == (len(SIGMAS), 6, 6)
+        assert _bits(series) == _bits(np.stack([adjoint_series(i, float(s), 30) for s in SIGMAS]))
+        assert _bits(values) == _bits(np.stack([closed_form(i).evaluate(float(s)) for s in SIGMAS]))
+
+
+def _scalar_reference(matrix, sigma):
+    """Each entry summed term by term with math.cos and math.sin."""
+    c, s = math.cos(sigma), math.sin(sigma)
+    out = np.zeros((6, 6))
+    for r, row in enumerate(matrix.entries):
+        for k, entry in enumerate(row):
+            total = 0.0
+            for (es, ec, esin), value in entry.terms.items():
+                total += float(value) * sigma**es * c**ec * s**esin
+            out[r, k] = total
+    return out
+
+
+def test_scalar_evaluation_keeps_its_types_and_values():
+    S = TrigPoly.symbol("S")
+    assert type(S.evaluate(0.5)) is float and S.evaluate(0.5) == math.sin(0.5)
+    assert S.evaluate(SIGMAS).shape == SIGMAS.shape
+    for i in range(1, 7):
+        for sigma in (0.3, -1.7, math.pi / 2, 12.5, -100.25):
+            value = closed_form(i).evaluate(sigma)
+            assert value.shape == (6, 6)
+            assert _bits(value) == _bits(_scalar_reference(closed_form(i), sigma))
+
+
+def test_closed_forms_are_built_on_first_use_and_kept():
+    code = (
+        "import se3sym\n"
+        "from se3sym import adjoint\n"
+        "assert adjoint.closed_form.cache_info().currsize == 0\n"
+        "assert adjoint.closed_form(4) is adjoint.closed_form(4)\n"
+        "assert adjoint.closed_form.cache_info().currsize == 1\n"
+        "assert not hasattr(adjoint.adjoint_closed_form, 'cache_info')\n"
+        "assert adjoint.adjoint_closed_form(4) is not adjoint.adjoint_closed_form(4)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_step_matrix_consistent_with_closed_form():

@@ -31,8 +31,10 @@ from se3sym.jets import (
     u,
     ONE,
 )
+from se3sym import jets
 from se3sym.adjoint import TrigPoly
 from se3sym.algebra import SE3
+from se3sym.linalg import exact_solve
 
 u_x = JetPolynomial.variable("u_x")
 u_y = JetPolynomial.variable("u_y")
@@ -367,6 +369,81 @@ def test_solve_validates_inputs():
         solve_phi_for_xi((ZERO, ZERO, ZERO), "zero", 1)
     with pytest.raises(ValueError):
         solve_phi_for_xi((u, ZERO, ZERO), "zero", 2)
+
+
+# xi -> consistent in the zero-source mode, in the generic mode
+PHI_CASES = [(f"rigid_{i}", rigid_basis_field(i).xi(), True, True) for i in range(1, 7)] + [
+    ("dilation", (x, y, z), True, False),
+    ("conformal_z", (2 * x * z, 2 * y * z, z * z - x * x - y * y), True, False),
+    ("conformal_x", (x * x - y * y - z * z, 2 * x * y, 2 * x * z), True, False),
+    ("printed_conformal", (x * z, y * z, z * z - x * x - y * y), False, False),
+    ("not_conformal", (x * x, ZERO, y), False, False),
+]
+
+
+@pytest.mark.parametrize("cap", (2, 3, 4))
+@pytest.mark.parametrize("f_mode", ("zero", "generic"))
+def test_cached_phi_system_members_solve_the_defining_rows(f_mode, cap):
+    for label, xi, zero_ok, generic_ok in PHI_CASES:
+        space = solve_phi_for_xi(xi, f_mode, cap)
+        assert (space is not None) == (zero_ok if f_mode == "zero" else generic_ok), label
+        assert solve_phi_for_xi(xi, f_mode, cap) == space
+        if space is None:
+            continue
+        g0, h0 = space.particular
+        for g, h in [(g0, h0)] + [(g0 + dg, h0 + dh) for dg, dh in space.basis]:
+            rows = defining_equations(field_from_phi(xi, g, h))[4:13]
+            if f_mode == "zero":
+                rows = [substitute_zero_source(r) for r in rows]
+            assert all(r.is_zero() for r in rows), label
+
+
+def _direct_phi_rows(monomials, f_mode):
+    """Every row (equation, monomial) of the phi-system, one per monomial of
+    degree <= cap, built without the cache: the reference for it."""
+    units = [JetPolynomial({m: Fraction(1)}) for m in monomials]
+    lap = lambda p: sum((p.partial(v).partial(v) for v in "xyz"), ZERO)
+    ops = [(lambda p, v=v: 2 * p.partial(v), None) for v in "xyz"] + [(lap, None), (None, lap)]
+    if f_mode == "generic":
+        ops += [(lambda p: p, None), (None, lambda p: p)]
+    rows = {}
+    for index, (op_g, op_h) in enumerate(ops):
+        images = [op_g(p) if op_g else ZERO for p in units] + [op_h(p) if op_h else ZERO for p in units]
+        for mono in monomials:
+            rows[(index, mono)] = [image.terms.get(mono, 0) for image in images]
+    return rows
+
+
+@pytest.mark.parametrize("cap", (2, 3))
+@pytest.mark.parametrize("f_mode", ("zero", "generic"))
+def test_cached_phi_system_equals_direct_solve(f_mode, cap):
+    system = jets._phi_system(f_mode, cap)
+    assert system is jets._phi_system(f_mode, cap)
+    hash(system)  # tuples of ints, monomials and Fractions all the way down
+    rows = _direct_phi_rows(system.monomials, f_mode)
+    keys = list(rows)
+    rnd = random.Random(cap)
+    outcomes = set()
+    for trial in range(40):
+        rhs = {}
+        for _ in range(rnd.randint(0, 4)):
+            index, mono = rnd.choice(keys)
+            if index < 3 and (sum(mono) < cap or trial % 4 == 0):
+                rhs[(index, mono)] = Fraction(rnd.randint(-5, 5) or 1, rnd.randint(1, 4))
+        direct = exact_solve(list(rows.values()), [rhs.get(k, 0) for k in keys])
+        assert system.particular(rhs) == (None if direct is None else list(direct[0]))
+        if direct is not None:
+            assert system.nullspace == tuple(direct[1])
+        outcomes.add(direct is None)
+    assert outcomes == {True, False}
+
+
+def test_solve_rejects_non_integer_caps_before_the_cache():
+    before = jets._phi_system.cache_info()
+    for cap in (2.0, True, 2.5, "2"):
+        with pytest.raises(ValueError):
+            solve_phi_for_xi((ZERO, ZERO, ZERO), "zero", cap)
+    assert jets._phi_system.cache_info() == before
 
 
 # ---------------------------------------------------------------------------
