@@ -26,9 +26,9 @@ def main() -> None:
     if args.samples < 1:
         parser.error("--samples must be at least 1")
 
-    start = time.time()
+    start = time.perf_counter()
     scan = hyperplane_scan(args.samples, args.seed)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     floor = hyperplane_certificate().residual_floor
     print(f"grid covectors       {scan.grid_points}")
     print(f"random covectors     {scan.random_samples}")
@@ -36,6 +36,7 @@ def main() -> None:
     print(f"residual floor       {float(floor):.6f}")
     print(f"closed hyperplane    {'FOUND' if scan.found else 'none'}")
     print(f"elapsed              {elapsed:.2f}s")
+    print(f"covectors per s      {(scan.grid_points + scan.random_samples) / elapsed:.0f}")
     if scan.found is not None:
         for generator in scan.found.generators:
             print(" ", generator)

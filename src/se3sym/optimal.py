@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -605,21 +606,78 @@ def frobenius_quadrics() -> Dict[Tuple[int, int, int], Quadric]:
     return table
 
 
-def _closure_residuals(lams: np.ndarray) -> np.ndarray:
-    """max |lam ^ dlam| over the quadrics, for each covector row.
+_CHUNK = 20000
 
-    A quadric has at most three terms, so summing them over contiguous
-    coordinate rows is faster than a dense (n, 21) @ (21, 19) product and,
-    unlike that product, runs on one thread instead of waking BLAS threads.
+
+_ResidualPlan = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[Tuple[int, bool], ...], ...]]
+
+
+@functools.lru_cache(maxsize=None)
+def _residual_plan() -> _ResidualPlan:
+    """The monomials lam_i*lam_j of the quadrics, and each quadric as steps
+    (monomial index, subtract) in its term order.
+
+    Every coefficient is +-1, so float(c)*lam_i*lam_j is +-(lam_i*lam_j)
+    exactly and a quadric is its monomials added or subtracted.  A quadric
+    whose first coefficient is -1 is summed negated, which its absolute value
+    does not see: rounding to nearest is symmetric in sign.
     """
-    coords = np.ascontiguousarray(lams.T)
-    values = np.array(
-        [
-            sum(float(coeff) * coords[i] * coords[j] for (i, j), coeff in quadric.items())
-            for quadric in frobenius_quadrics().values()
-        ]
-    )
-    return np.abs(values).max(axis=0)
+    quadrics = frobenius_quadrics().values()
+    if any(abs(c) != 1 for quadric in quadrics for c in quadric.values()):
+        raise ArithmeticError("the residual kernel needs quadric coefficients of +-1")
+    monomials = sorted({key for quadric in quadrics for key in quadric})
+    plans = []
+    for quadric in quadrics:
+        first = next(iter(quadric.values()))
+        plans.append(tuple((monomials.index(key), c != first) for key, c in quadric.items()))
+    return tuple(monomials), tuple(plans)
+
+
+class _ResidualKernel:
+    """max |lam ^ dlam| of up to _CHUNK covectors at a time, in buffers
+    allocated once.
+
+    Every step writes into those buffers, so a scan allocates nothing per
+    block: a fresh page costs a fault, which on a block of this size costs
+    more than the arithmetic done on it.
+    """
+
+    def __init__(self) -> None:
+        self.monomials, self.plans = _residual_plan()
+        self.raw = np.empty((_CHUNK, DIM))
+        self.unit = np.empty((DIM, _CHUNK))
+        self.products = np.empty((len(self.monomials), _CHUNK))
+        self.term = np.empty(_CHUNK)
+        self.residual = np.empty(_CHUNK)
+
+    def __call__(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Normalize the first n rows of raw; return the unit covectors,
+        coordinate-major with shape (6, n), and the residual of each.
+
+        Both are views of the buffers, overwritten by the next call.
+        """
+        raw, unit, products = self.raw[:n], self.unit[:, :n], self.products[:, :n]
+        term, residual = self.term[:n], self.residual[:n]
+        # |lam|^2 summed coordinate by coordinate, the order np.linalg.norm
+        # takes along a row; residual holds |lam| until the quadrics need it
+        np.multiply(raw[:, 0], raw[:, 0], out=residual)
+        for k in range(1, DIM):
+            np.multiply(raw[:, k], raw[:, k], out=term)
+            np.add(residual, term, out=residual)
+        np.sqrt(residual, out=residual)
+        np.divide(raw.T, residual, out=unit)
+        for product, (i, j) in zip(products, self.monomials):
+            np.multiply(unit[i], unit[j], out=product)
+        for q, ((first, _), *steps) in enumerate(self.plans):
+            value = residual if q == 0 else term
+            source = products[first]
+            for k, subtract in steps:
+                (np.subtract if subtract else np.add)(source, products[k], out=value)
+                source = value
+            np.abs(source, out=value)
+            if q:
+                np.maximum(residual, value, out=residual)
+        return unit, residual
 
 
 def _hyperplane_basis(lam: np.ndarray) -> np.ndarray:
@@ -636,46 +694,54 @@ def _hyperplane_basis(lam: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def _grid_covectors() -> np.ndarray:
-    """Nonzero integer covectors with entries in -2..2, normalized, in
-    itertools.product order."""
+@functools.lru_cache(maxsize=None)
+def _integer_grid() -> np.ndarray:
+    """Nonzero integer covectors with entries in -2..2, in itertools.product
+    order (read-only)."""
     grid = np.indices((5,) * DIM).reshape(DIM, -1).T - 2.0
     grid = grid[grid.any(axis=1)]
-    return grid / np.linalg.norm(grid, axis=1, keepdims=True)
+    grid.flags.writeable = False
+    return grid
 
 
-_CHUNK = 20000
-
-
-def _random_covector_blocks(samples: int, seed: int):
-    """Seeded random unit covectors, drawn _CHUNK rows at a time.
+def _residual_blocks(samples: int, seed: int):
+    """The integer grid, then seeded random covectors, _CHUNK rows at a time,
+    each block as the (unit, residual) views of one _ResidualKernel.
 
     Drawing block by block reads the same default_rng stream as drawing all
     samples at once, so the covectors do not depend on the block size.
     """
+    kernel = _ResidualKernel()
+    grid = _integer_grid()
+    for start in range(0, len(grid), _CHUNK):
+        block = grid[start : start + _CHUNK]
+        kernel.raw[: len(block)] = block
+        yield kernel(len(block))
     rng = np.random.default_rng(seed)
     for start in range(0, samples, _CHUNK):
-        block = rng.standard_normal((min(_CHUNK, samples - start), DIM))
-        yield block / np.linalg.norm(block, axis=1, keepdims=True)
+        n = min(_CHUNK, samples - start)
+        rng.standard_normal(out=kernel.raw[:n])
+        yield kernel(n)
 
 
 def hyperplane_scan(samples: int, seed: int, threshold: float = 1e-6) -> HyperplaneScan:
     """Scan the deterministic grid plus random unit covectors for a closed
     5-dimensional subalgebra (a falsification search; hyperplane_certificate
     is the proof)."""
+    for name, value in (("samples", samples), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    grid = _grid_covectors()
     min_residual = math.inf
     found = None
-    for block in itertools.chain([grid], _random_covector_blocks(samples, seed)):
-        residuals = _closure_residuals(block)
+    for unit, residuals in _residual_blocks(samples, seed):
         best = int(np.argmin(residuals))
         min_residual = min(min_residual, float(residuals[best]))
         if found is None and residuals[best] <= threshold:
-            rows = _hyperplane_basis(block[best])
+            rows = _hyperplane_basis(unit[:, best])
             found = SubalgebraBasis(tuple(AlgebraElement.numeric(row) for row in rows))
-    return HyperplaneScan(grid.shape[0], samples, min_residual, found)
+    return HyperplaneScan(len(_integer_grid()), samples, min_residual, found)
 
 
 _MONOMIALS = tuple(itertools.combinations_with_replacement(range(DIM), 2))

@@ -1,10 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from se3sym.algebra import (
@@ -21,6 +25,7 @@ from se3sym.algebra import (
     closure_check,
 )
 from se3sym.adjoint import AdjointWord, apply_word, automorphism_defect
+from se3sym import optimal
 from se3sym.optimal import (
     CASE_ALLOWED,
     CASE_TAGS,
@@ -28,9 +33,10 @@ from se3sym.optimal import (
     classify_1d_many,
     classify_1d_paper,
     equivalence_search,
-    _closure_residuals,
-    _grid_covectors,
-    _random_covector_blocks,
+    _CHUNK,
+    _ResidualKernel,
+    _hyperplane_basis,
+    _residual_blocks,
     five_dim_search,
     frobenius_quadrics,
     hyperplane_certificate,
@@ -503,6 +509,62 @@ def test_targeted_hyperplanes_fail_closure():
     assert verdict.witness.value == -X6
 
 
+def _reference_residuals(lams):
+    """max |lam ^ dlam| of each row, every quadric summed as a stack of
+    coefficient-times-monomial products: the reference that the scan's
+    kernel equals bit for bit."""
+    coords = np.ascontiguousarray(lams.T)
+    values = np.array(
+        [
+            sum(float(coeff) * coords[i] * coords[j] for (i, j), coeff in quadric.items())
+            for quadric in frobenius_quadrics().values()
+        ]
+    )
+    return np.abs(values).max(axis=0)
+
+
+def _reference_covectors(samples, seed):
+    """The grid and the seeded draws of one scan, drawn in one batch and
+    normalized by np.linalg.norm."""
+    grid = np.indices((5,) * 6).reshape(6, -1).T - 2.0
+    grid = grid[grid.any(axis=1)]
+    draws = np.random.default_rng(seed).standard_normal((samples, 6))
+    covectors = np.vstack([grid, draws])
+    return covectors / np.linalg.norm(covectors, axis=1, keepdims=True)
+
+
+def _reference_scan(samples, seed, threshold):
+    """(min residual, witness covector or None): the witness is the best
+    covector of the first block, the grid or _CHUNK draws, that meets the
+    threshold."""
+    lams = _reference_covectors(samples, seed)
+    residuals = _reference_residuals(lams)
+    grid_points = len(lams) - samples
+    assert grid_points <= _CHUNK
+    starts = [0] + list(range(grid_points, len(lams), _CHUNK))
+    for start, stop in zip(starts, starts[1:] + [len(lams)]):
+        best = start + int(np.argmin(residuals[start:stop]))
+        if residuals[best] <= threshold:
+            return residuals.min(), lams[best]
+    return residuals.min(), None
+
+
+def _kernel_blocks(samples, seed):
+    """Unit covectors (one per row) and residuals of every block of a scan."""
+    units, residuals = [], []
+    for unit, residual in _residual_blocks(samples, seed):
+        units.append(unit.T.copy())
+        residuals.append(residual.copy())
+    return units, residuals
+
+
+def _kernel_residuals(lams):
+    """Residuals of the rows of lams, normalized, through one kernel call."""
+    kernel = _ResidualKernel()
+    kernel.raw[: len(lams)] = lams
+    return kernel(len(lams))[1].copy()
+
+
 def test_hyperplane_scan_finds_nothing_small():
     scan = hyperplane_scan(2000, 42)
     assert scan.found is None
@@ -514,6 +576,60 @@ def test_hyperplane_scan_finds_nothing_small():
 def test_hyperplane_scan_validates_samples():
     with pytest.raises(ValueError):
         hyperplane_scan(0, 1)
+
+
+@pytest.mark.parametrize(
+    "samples, seed", [(True, 42), (2.5, 42), ("10", 42), (10, 1.5), (10, False), (10, "7")]
+)
+def test_hyperplane_scan_rejects_non_integer_counts_before_any_work(monkeypatch, samples, seed):
+    def unreachable(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(optimal, "_residual_blocks", unreachable)
+    with pytest.raises(ValueError, match="must be an integer"):
+        hyperplane_scan(samples, seed)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("samples", [1, 19999, 20000, 20001, 60007])
+def test_kernel_equals_the_reference_bit_for_bit(samples, seed):
+    units, residuals = _kernel_blocks(samples, seed)
+    assert max(len(block) for block in residuals) <= _CHUNK
+    want = _reference_covectors(samples, seed)
+    assert np.array_equal(np.vstack(units), want)
+    assert np.array_equal(np.concatenate(residuals), _reference_residuals(want))
+    # 0.5 lies above the residual floor, so a witness is found (in the grid)
+    for threshold in (1e-6, 0.5):
+        scan = hyperplane_scan(samples, seed, threshold=threshold)
+        min_residual, witness = _reference_scan(samples, seed, threshold)
+        assert scan.min_residual == min_residual
+        assert (scan.found is None) == (witness is None)
+        if witness is not None:
+            generators = np.array([g.as_array() for g in scan.found.generators])
+            assert np.array_equal(generators, _hyperplane_basis(witness))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+def test_scan_faults_in_no_fresh_pages_per_block():
+    # after a warm-up call, hyperplane_scan(400000, 42) incurred ~5,800
+    # minor faults when every block allocated its own temporaries and
+    # ~1,100 (its buffers, allocated once per call) with the fused kernel
+    code = (
+        "import resource\n"
+        "from se3sym.optimal import hyperplane_scan\n"
+        "hyperplane_scan(400000, 42)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "hyperplane_scan(400000, 42)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 3000
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +675,11 @@ def test_residual_is_max_wedge_through_the_bracket(lam):
     for triple, value in components.items():
         assert _evaluate(table.get(triple, {}), lam) == value
     exact = max(abs(value) for value in components.values())
-    residual = _closure_residuals(np.array([[float(l) for l in lam]]))[0]
-    assert abs(residual - float(exact)) <= 1e-12
+    # the kernel normalizes lam, and each quadric is homogeneous of degree 2
+    norm_sq = sum(l * l for l in lam)
+    assume(norm_sq)
+    residual = _kernel_residuals(np.array([[float(l) for l in lam]]))[0]
+    assert abs(residual - float(exact / norm_sq)) <= 1e-12
 
 
 def test_quadric_table_has_nineteen_entries():
@@ -586,19 +705,16 @@ def test_certificate_combinations_reproduce_targets(certificate):
 
 @given(unit_covectors)
 def test_unit_covector_residual_above_floor(certificate, lam):
-    assert _closure_residuals(lam[None, :])[0] >= float(certificate.residual_floor)
+    assert _kernel_residuals(lam[None, :])[0] >= float(certificate.residual_floor)
 
 
 @pytest.mark.parametrize("samples", [20001, 40000])
 def test_chunked_drawing_matches_one_batch(samples):
-    rng = np.random.default_rng(42)
-    batch = rng.standard_normal((samples, 6))
-    batch /= np.linalg.norm(batch, axis=1, keepdims=True)
-    blocks = list(_random_covector_blocks(samples, 42))
-    assert max(len(block) for block in blocks) <= 20000
-    assert np.array_equal(np.vstack(blocks), batch)
-    expected = min(_closure_residuals(_grid_covectors()).min(), _closure_residuals(batch).min())
-    assert hyperplane_scan(samples, 42).min_residual == expected
+    units, _ = _kernel_blocks(samples, 42)
+    assert max(len(block) for block in units) <= 20000
+    want = _reference_covectors(samples, 42)
+    assert np.array_equal(np.vstack(units), want)
+    assert hyperplane_scan(samples, 42).min_residual == _reference_residuals(want).min()
 
 
 def test_scan_above_floor_returns_kernel_basis(certificate):
@@ -606,8 +722,8 @@ def test_scan_above_floor_returns_kernel_basis(certificate):
     assert threshold > certificate.residual_floor
     scan = hyperplane_scan(1000, 42, threshold=threshold)
     # the grid comes first, so the witness is its best covector
-    grid = _grid_covectors()
-    residuals = _closure_residuals(grid)
+    grid = _reference_covectors(1000, 42)[: scan.grid_points]
+    residuals = _reference_residuals(grid)
     lam = grid[int(np.argmin(residuals))]
     assert residuals.min() <= threshold
     generators = np.array([g.as_array() for g in scan.found.generators])

@@ -25,6 +25,7 @@ def test_hyperplane_scan_script():
     assert result.returncode == 0, result.stderr
     assert "closed hyperplane    none" in result.stdout
     assert "residual floor" in result.stdout
+    assert "covectors per s" in result.stdout
 
 
 def test_classify_sweep_script():
