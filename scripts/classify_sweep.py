@@ -27,12 +27,12 @@ def main() -> None:
     if args.count < 1:
         parser.error("--count must be at least 1")
 
-    start = time.time()
+    start = time.perf_counter()
     coords = np.random.default_rng(args.seed).standard_normal((args.count, 6))
     batch = classify_1d_many(coords)
     mapped = batch.scale[:, None] * batch.replay(coords)
     worst_word = float(np.abs(mapped - batch.representatives).max())
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     worst_pitch_gap = 0.0
     for x, b in zip(coords, batch.b):
         form = canonicalize_screw(AlgebraElement.numeric(x))

@@ -39,7 +39,6 @@ from .optimal import (
     classify_1d_many,
     classify_1d_paper,
     equivalence_search,
-    five_dim_search,
     verify_2d_list,
     verify_3d_4d,
 )
@@ -57,9 +56,10 @@ from .solutions import (
     FlowResult,
     ScalarField,
     SourceTerm,
-    flow_point,
+    flow,
     flow_vs_closed_form,
     pde_residual,
+    rigid_motion,
     transform_solution,
     verify_invariance,
 )

@@ -130,13 +130,14 @@ def _require_same_tower(x: AlgebraElement, y: AlgebraElement) -> None:
         raise TowerError(f"mixed numeric towers: {x.tower} and {y.tower}")
 
 
-def format_element(coeffs: Sequence[Scalar]) -> str:
-    """Render a coordinate vector as a signed combination of X_1..X_6."""
+def format_element(coeffs: Sequence[Scalar], names: Optional[Sequence[str]] = None) -> str:
+    """Render a coordinate vector as a signed combination of the names
+    (default X_1..X_6)."""
     parts: List[str] = []
-    for index, value in enumerate(coeffs, start=1):
+    names = names or [f"X_{index}" for index in range(1, len(coeffs) + 1)]
+    for value, name in zip(coeffs, names):
         if value == 0:
             continue
-        name = f"X_{index}"
         if value == 1:
             term = name
         elif value == -1:

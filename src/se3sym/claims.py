@@ -27,10 +27,10 @@ from .algebra import (
     X4,
     closure_check,
     commutator_table,
+    format_element,
     in_span,
 )
 from .adjoint import (
-    AdjointWord,
     TrigPoly,
     adjoint_series,
     apply_word,
@@ -196,26 +196,11 @@ def _coords_json(element: AlgebraElement) -> List:
     return [float(c) for c in element.coeffs]
 
 
-def _word_json(word: AdjointWord) -> List[List[float]]:
-    return word.to_json()
-
-
 def _element_in_letters(value: AlgebraElement, basis: Sequence[AlgebraElement], letters: Sequence[str]) -> str:
     coords = in_span(value, SubalgebraBasis(tuple(basis)))
     if coords is None:
         return "outside span: " + str(value)
-    parts = []
-    for coeff, letter in zip(coords, letters):
-        if coeff == 0:
-            continue
-        if coeff == 1:
-            term = letter
-        elif coeff == -1:
-            term = f"-{letter}"
-        else:
-            term = f"{coeff}*{letter}"
-        parts.append(term if not parts else (f"+ {term}" if not term.startswith("-") else f"- {term[1:]}"))
-    return " ".join(parts) if parts else "0"
+    return format_element(coords, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +401,7 @@ def _claim_one_dim(rng: np.random.Generator) -> Claim:
             {
                 "from": _coords_json(left),
                 "to": _coords_json(right),
-                "word": _word_json(word) if word else None,
+                "word": word.to_json() if word else None,
             }
         )
     redundant = all(c["word"] is not None for c in conjugacies)
@@ -427,11 +412,11 @@ def _claim_one_dim(rng: np.random.Generator) -> Claim:
             "random_sweep": sweep,
             "published_recipe_sample": {
                 "input": _coords_json(sample),
-                "word": _word_json(recipe),
+                "word": recipe.to_json(),
                 "max_disallowed_after_recipe": recipe_residual,
                 "verified_fallback": {
                     "case": rep.case_tag,
-                    "word": _word_json(rep.word),
+                    "word": rep.word.to_json(),
                     "representative": _coords_json(rep.representative),
                 },
             },

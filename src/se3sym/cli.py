@@ -6,7 +6,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
@@ -31,57 +30,10 @@ class UsageError(ValueError):
     """Bad flag value; the message names the offending flag."""
 
 
-@dataclass(frozen=True)
-class CommandRequest:
-    subcommand: str
-    flags: Dict[str, object] = field(default_factory=dict)
-    seed: int = DEFAULT_SEED
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="se3sym",
-        description="verify rigid-motion symmetry claims for the nonlinear Poisson equation",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_table = sub.add_parser("table", help="print the basis commutator table")
-    p_table.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p_adj = sub.add_parser("adjoint", help="one-parameter adjoint matrix")
-    p_adj.add_argument("--gen", type=int, required=True)
-    p_adj.add_argument("--param", type=float, default=None)
-
-    p_cls = sub.add_parser("classify", help="canonical forms of an element")
-    p_cls.add_argument("--vector", type=str, required=True)
-
-    p_eq = sub.add_parser("equiv", help="search for an adjoint word linking two elements")
-    p_eq.add_argument("--x", type=str, required=True)
-    p_eq.add_argument("--y", type=str, required=True)
-
-    p_claims = sub.add_parser("check-claims", help="recompute all published claims")
-    p_claims.add_argument("--samples", type=int, default=100000)
-    p_claims.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    p_pro = sub.add_parser("prolong", help="defining-system residuals of a point field")
-    p_pro.add_argument("--field", type=str, required=True)
-
-    p_ver = sub.add_parser("verify-solutions", help="residuals of the transported solutions")
-    p_ver.add_argument("--family", type=str, default=None)
-    p_ver.add_argument("--samples", type=int, default=50)
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    return parser
-
-
-def parse_request(argv: Sequence[str]) -> CommandRequest:
-    namespace = _build_parser().parse_args(list(argv))
-    flags = dict(vars(namespace))
-    subcommand = flags.pop("subcommand")
-    seed = flags.pop("seed", DEFAULT_SEED)
-    if seed < 0:
+def _seed(args: argparse.Namespace) -> int:
+    if args.seed < 0:
         raise UsageError("--seed must be a nonnegative integer")
-    return CommandRequest(subcommand, flags, seed)
+    return args.seed
 
 
 def _parse_vector(text: str, flag: str) -> AlgebraElement:
@@ -119,11 +71,11 @@ def _print_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def _run_table(flags: Dict) -> int:
+def _run_table(args: argparse.Namespace) -> int:
     table = commutator_table(BASIS)
     names = [f"X_{i}" for i in range(1, DIM + 1)]
     cells = [[format_element(table[i][j].coeffs) for j in range(DIM)] for i in range(DIM)]
-    if flags["format"] == "csv":
+    if args.format == "csv":
         lines = ["," + ",".join(names)]
         for name, row in zip(names, cells):
             lines.append(name + "," + ",".join(row))
@@ -133,21 +85,21 @@ def _run_table(flags: Dict) -> int:
     return 0
 
 
-def _run_adjoint(flags: Dict) -> int:
-    gen = flags["gen"]
+def _run_adjoint(args: argparse.Namespace) -> int:
+    gen = args.gen
     if not 1 <= gen <= DIM:
         raise UsageError("--gen must lie in 1..6")
-    if flags["param"] is not None and not math.isfinite(flags["param"]):
-        raise UsageError(f"--param must be finite, got {flags['param']!r}")
+    if args.param is not None and not math.isfinite(args.param):
+        raise UsageError(f"--param must be finite, got {args.param!r}")
     matrix = closed_form(gen)
     payload = {
         "generator": gen,
         "symbolic": [[str(e) for e in row] for row in matrix.entries],
-        "parameter": flags["param"],
+        "parameter": args.param,
         "evaluated": None,
     }
-    if flags["param"] is not None:
-        payload["evaluated"] = matrix.evaluate(flags["param"]).tolist()
+    if args.param is not None:
+        payload["evaluated"] = matrix.evaluate(args.param).tolist()
     _print_json(payload)
     return 0
 
@@ -176,17 +128,17 @@ def _representative_payload(element: AlgebraElement) -> Dict:
     }
 
 
-def _run_classify(flags: Dict) -> int:
-    element = _parse_vector(flags["vector"], "--vector")
+def _run_classify(args: argparse.Namespace) -> int:
+    element = _parse_vector(args.vector, "--vector")
     if element.is_zero():
         raise UsageError("--vector must be a nonzero element")
     _print_json(_representative_payload(element))
     return 0
 
 
-def _run_equiv(flags: Dict) -> int:
-    ex = _parse_vector(flags["x"], "--x")
-    ey = _parse_vector(flags["y"], "--y")
+def _run_equiv(args: argparse.Namespace) -> int:
+    ex = _parse_vector(args.x, "--x")
+    ey = _parse_vector(args.y, "--y")
     if ex.is_zero() or ey.is_zero():
         raise UsageError("--x and --y must be nonzero elements")
     word = equivalence_search(ex, ey)
@@ -198,23 +150,19 @@ def _run_equiv(flags: Dict) -> int:
     return 0
 
 
-def _run_check_claims(flags: Dict, seed: int) -> int:
-    if flags["samples"] < 1:
+def _run_check_claims(args: argparse.Namespace) -> int:
+    seed = _seed(args)
+    if args.samples < 1:
         raise UsageError("--samples must be at least 1")
-    report = claims_report(samples=flags["samples"], seed=seed)
+    report = claims_report(samples=args.samples, seed=seed)
     sys.stdout.write(report.to_json())
     return 1 if report.has_discrepancy() else 0
 
 
-_NAMED_FIELDS = {
-    **{f"X{i}": i for i in range(1, 7)},
-}
-
-
 def _parse_field(text: str) -> PointVectorField:
     name = text.strip()
-    if name in _NAMED_FIELDS:
-        return rigid_basis_field(_NAMED_FIELDS[name])
+    if name in {f"X{i}" for i in range(1, 7)}:
+        return rigid_basis_field(int(name[1:]))
     if name == "dilation":
         return dilation_field()
     try:
@@ -223,8 +171,8 @@ def _parse_field(text: str) -> PointVectorField:
         raise UsageError(f"--field: {exc}") from None
 
 
-def _run_prolong(flags: Dict) -> int:
-    field_v = _parse_field(flags["field"])
+def _run_prolong(args: argparse.Namespace) -> int:
+    field_v = _parse_field(args.field)
     residuals = defining_equations(field_v)
     payload = {
         "field": {label: str(comp) for label, comp in field_v.components()},
@@ -239,14 +187,15 @@ def _run_prolong(flags: Dict) -> int:
     return 0
 
 
-def _run_verify_solutions(flags: Dict, seed: int) -> int:
-    if flags["samples"] < 1:
+def _run_verify_solutions(args: argparse.Namespace) -> int:
+    seed = _seed(args)
+    if args.samples < 1:
         raise UsageError("--samples must be at least 1")
     fields = builtin_fields()
-    family = flags["family"]
+    family = args.family
     if family is not None and family not in fields:
         raise UsageError(f"--family must be one of {sorted(fields)}, got {family!r}")
-    checks = check_solutions(flags["samples"], seed, None if family is None else [family])
+    checks = check_solutions(args.samples, seed, None if family is None else [family])
     payload = {
         "families": {
             name: {
@@ -256,7 +205,7 @@ def _run_verify_solutions(flags: Dict, seed: int) -> int:
             for name, by_k in checks.residuals.items()
         },
         "parameters": list(SOLUTION_PARAMETERS),
-        "samples": flags["samples"],
+        "samples": args.samples,
         "seed": seed,
         "convergence_ratio": checks.convergence_ratio,
         "flow_vs_closed_form_max": checks.flow_error,
@@ -265,25 +214,53 @@ def _run_verify_solutions(flags: Dict, seed: int) -> int:
     return 0
 
 
-def run(request: CommandRequest) -> int:
-    """Dispatch a parsed request; returns the process exit status."""
-    handlers = {
-        "table": lambda: _run_table(request.flags),
-        "adjoint": lambda: _run_adjoint(request.flags),
-        "classify": lambda: _run_classify(request.flags),
-        "equiv": lambda: _run_equiv(request.flags),
-        "check-claims": lambda: _run_check_claims(request.flags, request.seed),
-        "prolong": lambda: _run_prolong(request.flags),
-        "verify-solutions": lambda: _run_verify_solutions(request.flags, request.seed),
-    }
-    return handlers[request.subcommand]()
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="se3sym",
+        description="verify rigid-motion symmetry claims for the nonlinear Poisson equation",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    p_table = sub.add_parser("table", help="print the basis commutator table")
+    p_table.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_table.set_defaults(handler=_run_table)
+
+    p_adj = sub.add_parser("adjoint", help="one-parameter adjoint matrix")
+    p_adj.add_argument("--gen", type=int, required=True)
+    p_adj.add_argument("--param", type=float, default=None)
+    p_adj.set_defaults(handler=_run_adjoint)
+
+    p_cls = sub.add_parser("classify", help="canonical forms of an element")
+    p_cls.add_argument("--vector", type=str, required=True)
+    p_cls.set_defaults(handler=_run_classify)
+
+    p_eq = sub.add_parser("equiv", help="search for an adjoint word linking two elements")
+    p_eq.add_argument("--x", type=str, required=True)
+    p_eq.add_argument("--y", type=str, required=True)
+    p_eq.set_defaults(handler=_run_equiv)
+
+    p_claims = sub.add_parser("check-claims", help="recompute all published claims")
+    p_claims.add_argument("--samples", type=int, default=100000)
+    p_claims.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_claims.set_defaults(handler=_run_check_claims)
+
+    p_pro = sub.add_parser("prolong", help="defining-system residuals of a point field")
+    p_pro.add_argument("--field", type=str, required=True)
+    p_pro.set_defaults(handler=_run_prolong)
+
+    p_ver = sub.add_parser("verify-solutions", help="residuals of the transported solutions")
+    p_ver.add_argument("--family", type=str, default=None)
+    p_ver.add_argument("--samples", type=int, default=50)
+    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_ver.set_defaults(handler=_run_verify_solutions)
+
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        request = parse_request(argv)
-        return run(request)
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

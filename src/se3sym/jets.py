@@ -330,15 +330,6 @@ class Prolongation:
     phi_yz: JetPolynomial
     phi_zz: JetPolynomial
 
-    def first(self) -> Dict[str, JetPolynomial]:
-        return {"x": self.phi_x, "y": self.phi_y, "z": self.phi_z}
-
-    def second(self) -> Dict[str, JetPolynomial]:
-        return {
-            "xx": self.phi_xx, "xy": self.phi_xy, "xz": self.phi_xz,
-            "yy": self.phi_yy, "yz": self.phi_yz, "zz": self.phi_zz,
-        }
-
 
 def second_prolongation(v: PointVectorField) -> Prolongation:
     xi = v.xi()
@@ -418,6 +409,18 @@ def _laplacian(p: JetPolynomial) -> JetPolynomial:
     )
 
 
+def _conformal_rows(xi1: JetPolynomial, xi2: JetPolynomial, xi3: JetPolynomial) -> List[JetPolynomial]:
+    """The five defining rows on xi alone: xi is a conformal Killing field
+    (equal diagonal, antisymmetric off-diagonal first derivatives)."""
+    return [
+        xi1.partial("x") - xi3.partial("z"),
+        xi2.partial("x") + xi1.partial("y"),
+        xi3.partial("x") + xi1.partial("z"),
+        xi3.partial("y") + xi2.partial("z"),
+        xi3.partial("z") - xi2.partial("y"),
+    ]
+
+
 def defining_equations(v: PointVectorField) -> List[JetPolynomial]:
     """Residuals of the linear system characterizing infinitesimal symmetries.
 
@@ -430,11 +433,7 @@ def defining_equations(v: PointVectorField) -> List[JetPolynomial]:
         xi2.partial("u"),
         xi3.partial("u"),
         phi.partial("u").partial("u"),
-        xi1.partial("x") - xi3.partial("z"),
-        xi2.partial("x") + xi1.partial("y"),
-        xi3.partial("x") + xi1.partial("z"),
-        xi3.partial("y") + xi2.partial("z"),
-        xi3.partial("z") - xi2.partial("y"),
+        *_conformal_rows(xi1, xi2, xi3),
         _laplacian(xi1) - 2 * phi.partial("x").partial("u"),
         _laplacian(xi2) - 2 * phi.partial("y").partial("u"),
         _laplacian(xi3) - 2 * phi.partial("z").partial("u"),
@@ -589,13 +588,7 @@ def solve_phi_for_xi(
         if component.uses([n for n in VARIABLES if n not in ("x", "y", "z")]):
             raise ValueError("xi components must be polynomials in x, y, z")
     # consistency rows that do not involve phi
-    pure = [
-        xi1.partial("x") - xi3.partial("z"),
-        xi2.partial("x") + xi1.partial("y"),
-        xi3.partial("x") + xi1.partial("z"),
-        xi3.partial("y") + xi2.partial("z"),
-        xi3.partial("z") - xi2.partial("y"),
-    ]
+    pure = _conformal_rows(xi1, xi2, xi3)
     if f_mode == "generic":
         pure.append(xi3.partial("z"))
     if any(not p.is_zero() for p in pure):

@@ -788,8 +788,3 @@ def hyperplane_certificate() -> HyperplaneCertificate:
             raise ArithmeticError(f"{name} is not a combination of the quadrics")
         combinations[name] = {t: c for t, c in zip(table, coords) if c}
     return HyperplaneCertificate(combinations)
-
-
-def five_dim_search(samples: int, seed: int) -> Optional[SubalgebraBasis]:
-    """Closed codimension-1 subalgebra if the scan finds one (expected: none)."""
-    return hyperplane_scan(samples, seed).found

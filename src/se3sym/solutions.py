@@ -1,11 +1,12 @@
 """Numeric checks that the six point-symmetry flows map solutions to
 solutions of (laplacian of u) = f(u).
 
-Fields are plain evaluators on the test box [-1, 1]^3 (the built-in families
-are entire functions, so composing with rigid motions keeps them total).
-Residuals use central second differences; flows use a fixed-step classical
-fourth-order integrator, applied through the affine map of one step, so
-everything is deterministic.
+Fields are plain evaluators on the test box [-1, 1]^3, taking coordinates
+as floats or as arrays (the built-in families are entire functions, so
+composing with rigid motions keeps them total).  Residuals use central
+second differences, evaluated over arrays of points; flows use a fixed-step
+classical fourth-order integrator, applied through the affine map of one
+step, so everything is deterministic.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from .algebra import AlgebraElement
 BOX_HALF_WIDTH = 1.0
 DEFAULT_STEP = 1e-3
 MAX_STEPS = 2**62
+# verify_invariance draws and evaluates its points this many at a time
+SAMPLE_BLOCK = 4096
 
 Point = Tuple[float, float, float]
 
@@ -37,9 +40,8 @@ class FlowError(ArithmeticError):
 class SourceTerm:
     """Right-hand side family f(u)."""
 
-    kind: str  # zero | constant | linear | custom
+    kind: str  # zero | constant | linear
     value: float = 0.0
-    func: Optional[Callable[[float], float]] = None
 
     @classmethod
     def zero(cls) -> "SourceTerm":
@@ -53,29 +55,20 @@ class SourceTerm:
     def linear(cls) -> "SourceTerm":
         return cls("linear")
 
-    @classmethod
-    def custom(cls, func: Callable[[float], float]) -> "SourceTerm":
-        return cls("custom", func=func)
-
-    def __call__(self, u: float) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "linear":
-            return u
-        return self.func(u)
+    def __call__(self, u):
+        return u if self.kind == "linear" else self.value
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Candidate solution u = h(x, y, z) with the source family it solves."""
+    """Candidate solution u = h(x, y, z) with the source family it solves;
+    the evaluator takes floats or arrays of coordinates."""
 
-    evaluator: Callable[[float, float, float], float]
+    evaluator: Callable
     label: str
     source: SourceTerm
 
-    def __call__(self, px: float, py: float, pz: float) -> float:
+    def __call__(self, px, py, pz):
         return self.evaluator(px, py, pz)
 
 
@@ -93,9 +86,7 @@ def builtin_fields() -> Dict[str, ScalarField]:
             "x^2 + y^2 + z^2",
             SourceTerm.constant(6.0),
         ),
-        "exp_x": ScalarField(
-            lambda px, py, pz: math.exp(px), "exp(x)", SourceTerm.linear()
-        ),
+        "exp_x": ScalarField(lambda px, py, pz: np.exp(px), "exp(x)", SourceTerm.linear()),
     }
 
 
@@ -108,13 +99,12 @@ def builtin_fields() -> Dict[str, ScalarField]:
 class FlowResult:
     """End state of one flow, or of a batch of flows.
 
-    ``endpoint`` is the tuple (x, y, z, u) for a single flow and an (m, 4)
+    ``endpoint`` is the point (x, y, z) for a single flow and an (m, 3)
     array for a batch; ``steps`` is the number of RK4 steps summed over rows.
     """
 
-    endpoint: Union[Tuple[float, float, float, float], np.ndarray]
+    endpoint: Union[Point, np.ndarray]
     steps: int
-    method_order: int = 4
 
 
 def _rk4_step(v: np.ndarray, w: np.ndarray, p: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -161,7 +151,6 @@ def flow(
     x_elem: Union[AlgebraElement, np.ndarray],
     s: Union[float, np.ndarray],
     p: Union[Point, np.ndarray],
-    u0: float = 0.0,
     step: float = DEFAULT_STEP,
 ) -> FlowResult:
     """Integrate the one-parameter flow of the field for parameter s.
@@ -172,9 +161,6 @@ def flow(
     v + w x p is affine in p, so one RK4 step is an affine map
     p -> p L + c, and n steps are applied by binary powering of that map:
     about log2(n) vectorized passes instead of n.
-
-    The u component rides along unchanged: the rigid generators have no
-    u-part, and general u-parts are out of scope here.
     """
     step = float(step)
     if not (math.isfinite(step) and step > 0):
@@ -215,15 +201,7 @@ def flow(
         row = int(np.argmax(bad))
         raise FlowError(f"flow diverged: row {row} ends at {tuple(map(float, points[row]))}")
     steps = int(n.sum(dtype=object))
-    if not shape:
-        return FlowResult((*(float(x) for x in points[0]), float(u0)), steps)
-    return FlowResult(np.column_stack([points, np.full(m, float(u0))]), steps)
-
-
-def flow_point(x_elem: AlgebraElement, s, p):
-    """(x, y, z) of the flow's endpoint: a tuple for one flow, (m, 3) for a batch."""
-    endpoint = flow(x_elem, s, p).endpoint
-    return endpoint[:3] if isinstance(endpoint, tuple) else endpoint[:, :3]
+    return FlowResult(points if shape else tuple(map(float, points[0])), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -231,42 +209,47 @@ def flow_point(x_elem: AlgebraElement, s, p):
 # ---------------------------------------------------------------------------
 
 
-def _coordinate_map(k: int, s: float) -> Callable[[float, float, float], Point]:
-    c, sn = math.cos(s), math.sin(s)
-    if k == 1:
-        return lambda px, py, pz: (px + s, py, pz)
-    if k == 2:
-        return lambda px, py, pz: (px, py + s, pz)
-    if k == 3:
-        return lambda px, py, pz: (px, py, pz + s)
-    if k == 4:
-        return lambda px, py, pz: (px, py * c - pz * sn, pz * c + py * sn)
-    if k == 5:
-        return lambda px, py, pz: (px * c + pz * sn, py, pz * c - px * sn)
-    if k == 6:
-        return lambda px, py, pz: (px * c - py * sn, px * sn + py * c, pz)
-    raise ValueError(f"generator index {k} out of range 1..6")
+def rigid_motion(k: int, s, px, py, pz):
+    """Image of (px, py, pz) under exp(s X_k), k in 1..6: a translation along
+    an axis or a rotation about one.  Floats or arrays that broadcast."""
+    if not 1 <= k <= 6:
+        raise ValueError(f"generator index {k} out of range 1..6")
+    p = [px, py, pz]
+    if k <= 3:
+        p[k - 1] = p[k - 1] + s
+        return tuple(p)
+    # the two coordinates that turn, in cyclic order after the axis k - 3
+    i, j = k % 3, (k + 1) % 3
+    c, sn = np.cos(s), np.sin(s)
+    p[i], p[j] = p[i] * c - p[j] * sn, p[j] * c + p[i] * sn
+    return tuple(p)
 
 
 def transform_solution(k: int, s: float, h: ScalarField) -> ScalarField:
     """The transported solution g_k(s) . h; same source family."""
-    inner = _coordinate_map(k, s)
     previous = h.evaluator
     return ScalarField(
-        lambda px, py, pz: previous(*inner(px, py, pz)),
+        lambda px, py, pz: previous(*rigid_motion(k, s, px, py, pz)),
         f"g{k}({s:g}).{h.label}",
         h.source,
     )
 
 
-def pde_residual(h: ScalarField, source: SourceTerm, p: Point, step: float) -> float:
-    """Central-difference laplacian minus the source, O(step^2) accurate."""
+def pde_residual(h: ScalarField, source: SourceTerm, p, step: float):
+    """Central-difference laplacian minus the source, O(step^2) accurate.
+
+    p is one point, for a float, or an (n, 3) array, for the n residuals;
+    every row is computed by the same element-wise arithmetic.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
-    px, py, pz = p
-    margin = BOX_HALF_WIDTH - 2 * step
-    if abs(px) > margin or abs(py) > margin or abs(pz) > margin:
-        raise OutsideBoxError(f"point {p} closer than 2*step to the box boundary")
+    points = np.asarray(p, dtype=float)
+    rows = np.atleast_2d(points)
+    px, py, pz = rows.T
+    outside = (np.abs(rows) > BOX_HALF_WIDTH - 2 * step).any(axis=1)
+    if outside.any():
+        row = tuple(map(float, rows[np.argmax(outside)]))
+        raise OutsideBoxError(f"point {row} closer than 2*step to the box boundary")
     center = h(px, py, pz)
     lap = (
         h(px + step, py, pz) + h(px - step, py, pz)
@@ -274,7 +257,9 @@ def pde_residual(h: ScalarField, source: SourceTerm, p: Point, step: float) -> f
         + h(px, py, pz + step) + h(px, py, pz - step)
         - 6.0 * center
     ) / (step * step)
-    return lap - source(center)
+    # a field that ignores its coordinates (a constant) gives a scalar
+    residual = np.full(px.shape, lap - source(center))
+    return float(residual[0]) if points.ndim == 1 else residual
 
 
 def verify_invariance(
@@ -286,15 +271,20 @@ def verify_invariance(
     seed: int,
     step: float = DEFAULT_STEP,
 ) -> float:
-    """Max |residual| of the transported field at seeded interior points."""
+    """Max |residual| of the transported field at seeded interior points.
+
+    The points are drawn and evaluated SAMPLE_BLOCK rows at a time; the
+    blocks are the rows of one (samples, 3) draw from the seeded stream.
+    """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     transported = transform_solution(k, s, h)
     rng = np.random.default_rng(seed)
-    points = rng.uniform(-0.9, 0.9, size=(samples, 3))
     worst = 0.0
-    for point in points:
-        residual = pde_residual(transported, source, tuple(point), step)
-        worst = max(worst, abs(residual))
-    return worst
+    for start in range(0, samples, SAMPLE_BLOCK):
+        points = rng.uniform(-0.9, 0.9, size=(min(SAMPLE_BLOCK, samples - start), 3))
+        worst = np.maximum(worst, np.abs(pde_residual(transported, source, points, step)).max())
+    return float(worst)
 
 
 def flow_vs_closed_form(
@@ -305,10 +295,8 @@ def flow_vs_closed_form(
     basis = AlgebraElement.numeric([1.0 if i == k - 1 else 0.0 for i in range(6)])
     s_rows = np.repeat(np.asarray(s_grid, dtype=float), len(point_grid))
     p_rows = np.tile(np.asarray(point_grid, dtype=float).reshape(-1, 3), (len(s_grid), 1))
-    integrated = flow_point(basis, s_rows, p_rows)
-    reference = np.array(
-        [_coordinate_map(k, s)(*p) for s in s_grid for p in point_grid], dtype=float
-    ).reshape(-1, 3)
+    integrated = flow(basis, s_rows, p_rows).endpoint
+    reference = np.column_stack(rigid_motion(k, s_rows, *p_rows.T))
     return float(np.abs(integrated - reference).max(initial=0.0))
 
 

@@ -180,3 +180,4 @@ def test_format_element():
     assert format_element((0, 0, 0, 0, 0, -1)) == "-X_6"
     assert format_element((0, 0, 0, 0, 0, 0)) == "0"
     assert format_element((1, 0, 0, Fraction(-1, 2), 0, 0)) == "X_1 - 1/2*X_4"
+    assert format_element((Fraction(3), -1, 0), ("X", "Y", "Z")) == "3*X - Y"

@@ -8,8 +8,10 @@ import jsonschema
 import pytest
 
 from se3sym.cli import main
+from test_claims import _assert_matches_golden
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
+VERIFY_GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_solutions_default.json"
 
 
 def _run(argv):
@@ -192,6 +194,23 @@ def test_verify_solutions_family():
 def test_verify_solutions_unknown_family():
     status, _ = _run(["verify-solutions", "--family", "nope"])
     assert status == 2
+
+
+def test_verify_solutions_default_matches_the_golden():
+    """Default verify-solutions stdout, recorded before the residuals were
+    evaluated on point arrays."""
+    status, out = _run(["verify-solutions"])
+    assert status == 0
+    payload = json.loads(out)
+    _validate(payload, "verify_solutions.json")
+    _assert_matches_golden(payload, json.loads(VERIFY_GOLDEN.read_text()))
+
+
+@pytest.mark.parametrize("command", ["check-claims", "verify-solutions"])
+def test_negative_seed_is_a_usage_error(command, capsys):
+    status, out = _run([command, "--seed", "-1"])
+    assert status == 2 and out == ""
+    assert capsys.readouterr().err == "error: --seed must be a nonnegative integer\n"
 
 
 def test_check_claims_exit_code_and_schema():

@@ -37,7 +37,6 @@ from se3sym.optimal import (
     _ResidualKernel,
     _hyperplane_basis,
     _residual_blocks,
-    five_dim_search,
     frobenius_quadrics,
     hyperplane_certificate,
     hyperplane_scan,
@@ -570,7 +569,7 @@ def test_hyperplane_scan_finds_nothing_small():
     assert scan.found is None
     assert scan.min_residual > 1e-6
     assert scan.grid_points >= 10**4
-    assert five_dim_search(500, 7) is None
+    assert hyperplane_scan(500, 7).found is None
 
 
 def test_hyperplane_scan_validates_samples():

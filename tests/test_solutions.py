@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from se3sym.claims import claims_report
 from se3sym.solutions import (
     FLOW_POINTS,
     FLOW_S_GRID,
+    SAMPLE_BLOCK,
+    SOLUTION_PARAMETERS,
     FlowError,
     OutsideBoxError,
     ScalarField,
@@ -18,9 +21,9 @@ from se3sym.solutions import (
     builtin_fields,
     check_solutions,
     flow,
-    flow_point,
     flow_vs_closed_form,
     pde_residual,
+    rigid_motion,
     transform_solution,
     verify_invariance,
 )
@@ -29,26 +32,26 @@ FIELDS = builtin_fields()
 
 
 def test_flow_of_translation():
-    end = flow_point(X1.to_float(), 0.37, (0.1, 0.2, 0.3))
+    end = flow(X1.to_float(), 0.37, (0.1, 0.2, 0.3)).endpoint
     assert np.allclose(end, (0.47, 0.2, 0.3), atol=1e-12)
 
 
 def test_flow_of_rotation_quarter_turn():
-    end = flow_point(X4.to_float(), math.pi / 2, (0.0, 1.0, 0.0))
+    end = flow(X4.to_float(), math.pi / 2, (0.0, 1.0, 0.0)).endpoint
     assert np.allclose(end, (0.0, 0.0, 1.0), atol=1e-8)
 
 
 def test_flow_zero_parameter():
     for i, gen in enumerate((X1, X4, X6)):
-        assert flow_point(gen.to_float(), 0.0, (0.3, -0.2, 0.5)) == (0.3, -0.2, 0.5)
+        assert flow(gen.to_float(), 0.0, (0.3, -0.2, 0.5)).endpoint == (0.3, -0.2, 0.5)
 
 
 def test_flow_reversibility():
     rng = np.random.default_rng(3)
     element = AlgebraElement.numeric(rng.standard_normal(6))
     p = (0.2, -0.4, 0.1)
-    forward = flow_point(element, 0.9, p)
-    back = flow_point(element, -0.9, forward)
+    forward = flow(element, 0.9, p).endpoint
+    back = flow(element, -0.9, forward).endpoint
     assert np.abs(np.array(back) - np.array(p)).max() < 1e-8
 
 
@@ -58,15 +61,14 @@ def test_rotation_flow_preserves_radius():
     for k in (4, 5, 6):
         gen = AlgebraElement.numeric([0] * (k - 1) + [1] + [0] * (6 - k))
         for s in (-1.0, 0.5, 1.0):
-            q = flow_point(gen, s, p)
+            q = flow(gen, s, p).endpoint
             assert abs(sum(t * t for t in q) - r0) < 1e-8
 
 
 def test_flow_result_metadata():
-    result = flow(X1.to_float(), 0.25, (0.0, 0.0, 0.0), u0=1.5)
-    assert result.method_order == 4
+    result = flow(X1.to_float(), 0.25, (0.0, 0.0, 0.0))
     assert result.steps == 250
-    assert result.endpoint[3] == 1.5
+    assert len(result.endpoint) == 3
 
 
 def test_transform_translation_values():
@@ -160,12 +162,145 @@ def test_source_terms():
     assert SourceTerm.zero()(3.0) == 0.0
     assert SourceTerm.constant(6.0)(-1.0) == 6.0
     assert SourceTerm.linear()(2.5) == 2.5
-    assert SourceTerm.custom(lambda v: v * v)(3.0) == 9.0
 
 
 def test_custom_field_round_trip():
     field = ScalarField(lambda px, py, pz: px + pz, "x + z", SourceTerm.zero())
     assert abs(pde_residual(field, field.source, (0.1, 0.1, 0.1), 1e-3)) < 1e-9
+
+
+def test_constant_field_has_zero_residual_at_a_point_and_on_rows():
+    field = ScalarField(lambda px, py, pz: 2.5, "2.5", SourceTerm.zero())
+    assert pde_residual(field, field.source, (0.1, 0.2, 0.3), 1e-3) == 0.0
+    rows = pde_residual(field, field.source, np.zeros((4, 3)), 1e-3)
+    assert rows.shape == (4,) and not rows.any()
+
+
+# ---------------------------------------------------------------------------
+# the array stencil against the literal per-point stencil
+# ---------------------------------------------------------------------------
+
+_FAMILIES = {
+    "xy": (lambda x, y, z: x * y, lambda u: 0.0),
+    "x2_minus_y2": (lambda x, y, z: x * x - y * y, lambda u: 0.0),
+    "r2": (lambda x, y, z: x * x + y * y + z * z, lambda u: 6.0),
+    "exp_x": (lambda x, y, z: math.exp(x), lambda u: u),
+}
+
+# Every stencil value of the transported families lies below 8 on the
+# sampling box.  math.exp and np.exp are each within one ulp, so the twelve
+# weighted inputs of the stencil sum differ by at most 2 ulp(8) each, and
+# each of its seven roundings (partial sums below 32) by at most
+# 1 ulp(32) = 4 ulp(8): 52 ulp(8) in all, rounded up to 64.
+EXP_STENCIL_BOUND = 64 * 2.0**-50 / 1e-3**2
+
+
+def _literal_residual(name, k, s, p, step):
+    """Oracle: the per-point stencil in plain floats with math.exp and one
+    closed-form coordinate map per generator (cos and sin of the angle are
+    taken as rigid_motion takes them, so only exp can differ)."""
+    c, sn = float(np.cos(s)), float(np.sin(s))
+    maps = {
+        1: lambda x, y, z: (x + s, y, z),
+        2: lambda x, y, z: (x, y + s, z),
+        3: lambda x, y, z: (x, y, z + s),
+        4: lambda x, y, z: (x, y * c - z * sn, z * c + y * sn),
+        5: lambda x, y, z: (x * c + z * sn, y, z * c - x * sn),
+        6: lambda x, y, z: (x * c - y * sn, x * sn + y * c, z),
+    }
+    field, source = _FAMILIES[name]
+
+    def h(x, y, z):
+        return field(*maps[k](x, y, z))
+
+    px, py, pz = (float(t) for t in p)
+    center = h(px, py, pz)
+    lap = (
+        h(px + step, py, pz) + h(px - step, py, pz)
+        + h(px, py + step, pz) + h(px, py - step, pz)
+        + h(px, py, pz + step) + h(px, py, pz - step)
+        - 6.0 * center
+    ) / (step * step)
+    return lap - source(center)
+
+
+def test_array_residual_rows_equal_point_calls_bit_for_bit():
+    points = np.random.default_rng(11).uniform(-0.9, 0.9, size=(257, 3))
+    for name, field in FIELDS.items():
+        for k in (1, 5, 6):
+            moved = transform_solution(k, -0.7, field)
+            batch = pde_residual(moved, field.source, points, 1e-3)
+            assert batch.shape == (257,)
+            for i in range(0, 257, 16):
+                single = pde_residual(moved, field.source, tuple(points[i]), 1e-3)
+                assert type(single) is float and single == batch[i], (name, k, i)
+
+
+def test_array_stencil_matches_the_literal_stencil():
+    points = np.random.default_rng(12).uniform(-0.9, 0.9, size=(64, 3))
+    for name, field in FIELDS.items():
+        for k in range(1, 7):
+            for s in SOLUTION_PARAMETERS:
+                got = pde_residual(transform_solution(k, s, field), field.source, points, 1e-3)
+                want = np.array([_literal_residual(name, k, s, p, 1e-3) for p in points])
+                if name == "exp_x":
+                    assert np.abs(got - want).max() <= EXP_STENCIL_BOUND, (k, s)
+                else:
+                    assert np.array_equal(got, want), (name, k, s)
+
+
+def test_blocked_draws_equal_one_draw():
+    samples = 2 * SAMPLE_BLOCK + 37
+    points = np.random.default_rng(6).uniform(-0.9, 0.9, size=(samples, 3))
+    field = FIELDS["exp_x"]
+    rows = np.abs(pde_residual(transform_solution(6, -0.7, field), field.source, points, 1e-3))
+    # the largest residual lies past the first block, so later blocks count
+    assert rows.argmax() >= SAMPLE_BLOCK
+    for n in (SAMPLE_BLOCK, SAMPLE_BLOCK + 1, samples):
+        assert verify_invariance(field, field.source, 6, -0.7, n, 6) == rows[:n].max()
+
+
+def test_verify_invariance_memory_does_not_grow_with_samples():
+    """A (200000, 3) draw alone is 4.8 MB, and evaluating it point by point
+    peaked at 5.5 MB under tracemalloc; blocks of SAMPLE_BLOCK rows peak
+    near 0.4 MB."""
+    h = FIELDS["exp_x"]
+    verify_invariance(h, h.source, 4, 0.3, 10, 42)
+    tracemalloc.start()
+    try:
+        verify_invariance(h, h.source, 4, 0.3, 200_000, 42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_residual_box_check_names_the_first_outside_row():
+    r2 = FIELDS["r2"]
+    points = np.array([[0.0, 0.0, 0.0], [0.1, -0.9995, 0.2], [0.9999, 0.0, 0.0]])
+    with pytest.raises(OutsideBoxError, match=r"\(0\.1, -0\.9995, 0\.2\)"):
+        pde_residual(r2, r2.source, points, 1e-3)
+
+
+def test_rigid_motion_on_arrays_equals_rows():
+    s = np.array([-0.7, 0.0, 0.3])
+    p = np.array([[0.1, 0.2, 0.3], [-0.4, 0.5, 0.6], [0.7, -0.8, 0.9]])
+    for k in range(1, 7):
+        rows = np.column_stack(rigid_motion(k, s, *p.T))
+        for i in range(3):
+            assert tuple(rows[i]) == rigid_motion(k, s[i], *p[i])
+    with pytest.raises(ValueError, match="out of range"):
+        rigid_motion(7, 0.1, 0.0, 0.0, 0.0)
+
+
+def test_verify_invariance_reports_a_nan_residual():
+    field = ScalarField(lambda px, py, pz: np.where(px > 0.5, np.nan, px), "x", SourceTerm.zero())
+    assert math.isnan(verify_invariance(field, field.source, 1, 0.0, 2 * SAMPLE_BLOCK, 1))
+
+
+def test_verify_invariance_rejects_negative_samples():
+    with pytest.raises(ValueError, match="samples"):
+        verify_invariance(FIELDS["xy"], FIELDS["xy"].source, 1, 0.3, -1, 42)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +338,7 @@ box_points = st.lists(st.floats(-1, 1), min_size=3, max_size=3)
 @given(coordinates, parameters, box_points)
 def test_propagator_matches_the_step_loop(coeffs, s, p):
     want = _rk4_loop(coeffs, s, p)
-    got = np.array(flow_point(AlgebraElement.numeric(coeffs), s, p))
+    got = np.array(flow(AlgebraElement.numeric(coeffs), s, p).endpoint)
     assert np.abs(got - want).max() <= 1e-11 * max(1.0, np.abs(want).max())
 
 
@@ -213,17 +348,17 @@ def test_batch_rows_equal_single_flows_bit_for_bit(rows):
     coords = np.array([r[0] for r in rows])
     s = np.array([r[1] for r in rows])
     points = np.array([r[2] for r in rows])
-    batch = flow(coords, s, points, u0=0.25)
-    assert batch.endpoint.shape == (len(rows), 4)
+    batch = flow(coords, s, points)
+    assert batch.endpoint.shape == (len(rows), 3)
     for i in range(len(rows)):
-        single = flow(AlgebraElement.numeric(coords[i]), s[i], tuple(points[i]), u0=0.25)
+        single = flow(AlgebraElement.numeric(coords[i]), s[i], tuple(points[i]))
         assert single.endpoint == tuple(batch.endpoint[i])
 
 
 @settings(deadline=None)
 @given(st.lists(st.floats(-1e100, 1e100), min_size=6, max_size=6), box_points)
 def test_zero_parameter_is_the_identity(coeffs, p):
-    assert flow_point(AlgebraElement.numeric(coeffs), 0.0, p) == tuple(p)
+    assert flow(AlgebraElement.numeric(coeffs), 0.0, p).endpoint == tuple(p)
 
 
 def test_steps_sum_over_rows():
@@ -238,10 +373,10 @@ def test_steps_sum_over_rows():
 
 def test_batch_broadcasts_one_element_over_rows():
     s = np.linspace(-1, 1, 5)
-    batch = flow_point(X6.to_float(), s, (0.3, 0.4, 0.5))
+    batch = flow(X6.to_float(), s, (0.3, 0.4, 0.5)).endpoint
     assert batch.shape == (5, 3)
     for i, si in enumerate(s):
-        assert tuple(batch[i]) == flow_point(X6.to_float(), si, (0.3, 0.4, 0.5))
+        assert tuple(batch[i]) == flow(X6.to_float(), si, (0.3, 0.4, 0.5)).endpoint
 
 
 @pytest.mark.parametrize("step", [-1e-3, 0.0, 0, math.inf, math.nan])
