@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Sweep random elements through the seven-case normalization.
 
-Classifies all elements in one batch and reports how often each case tag
-occurs, how often the published recipes suffice on their own, the worst
-residuals of the verified words (replayed in batch) and the worst
-disagreement with the pitch of the screw canonical form.
+Draws and classifies the Gaussian elements as the one-dim claim does
+(claims.gaussian_sweep), and reports how often each case tag occurs, how
+often the published recipes suffice on their own, the worst residuals of
+the verified words (replayed in batch) and the worst disagreement with the
+pitch v.w / |w|^2 of the screw canonical form, all over whole arrays.
 
 Usage: python scripts/classify_sweep.py [--count N] [--seed S]
 """
@@ -15,8 +16,13 @@ from collections import Counter
 
 import numpy as np
 
-from se3sym.algebra import AlgebraElement
-from se3sym.optimal import canonicalize_screw, classify_1d_many
+from se3sym.claims import gaussian_sweep
+from se3sym.optimal import ZERO_TOL
+
+
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a.b, summed in coordinate order as optimal.pitch_of sums."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
 
 
 def main() -> None:
@@ -28,16 +34,17 @@ def main() -> None:
         parser.error("--count must be at least 1")
 
     start = time.perf_counter()
-    coords = np.random.default_rng(args.seed).standard_normal((args.count, 6))
-    batch = classify_1d_many(coords)
+    coords, batch = gaussian_sweep(np.random.default_rng(args.seed), args.count)
     mapped = batch.scale[:, None] * batch.replay(coords)
     worst_word = float(np.abs(mapped - batch.representatives).max())
+    # the screw canonical form's pitch, taken of the element at unit scale
+    unit = coords / np.abs(coords).max(axis=1)[:, None]
+    v, w = unit[:, :3], unit[:, 3:]
+    wsq = _dot3(w, w)
+    screw = (np.sqrt(wsq) > ZERO_TOL) & (batch.b != 0)
+    gaps = np.abs(1.0 / batch.b[screw] - _dot3(v, w)[screw] / wsq[screw])
+    worst_pitch_gap = float(gaps.max()) if gaps.size else 0.0
     elapsed = time.perf_counter() - start
-    worst_pitch_gap = 0.0
-    for x, b in zip(coords, batch.b):
-        form = canonicalize_screw(AlgebraElement.numeric(x))
-        if form.kind == "screw" and b:
-            worst_pitch_gap = max(worst_pitch_gap, abs(1.0 / b - form.pitch))
 
     print(f"elements                 {args.count}")
     for tag, count in sorted(Counter(batch.case_tags.tolist()).items()):

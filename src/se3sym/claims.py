@@ -50,6 +50,7 @@ from .jets import (
     vf_commutator,
 )
 from .optimal import (
+    OneDimBatch,
     classify_1d_many,
     classify_1d_paper,
     equivalence_search,
@@ -374,17 +375,15 @@ def _claim_laplace_extras() -> Claim:
     )
 
 
-def _classify_sweep(rng: np.random.Generator, count: int) -> Dict:
-    batch = classify_1d_many(rng.standard_normal((count, DIM)))
-    return {
-        "elements": count,
-        "max_disallowed_coordinate": float(batch.disallowed().max()),
-        "fallback_count": int(batch.fallback.sum()),
-    }
+def gaussian_sweep(rng: np.random.Generator, count: int) -> Tuple[np.ndarray, OneDimBatch]:
+    """count Gaussian elements drawn from rng, shape (count, 6), and their
+    seven-case normalization: the random sweep of the one-dim claim."""
+    coords = rng.standard_normal((count, DIM))
+    return coords, classify_1d_many(coords)
 
 
 def _claim_one_dim(rng: np.random.Generator) -> Claim:
-    sweep = _classify_sweep(rng, 2000)
+    _, sweep = gaussian_sweep(rng, 2000)
     # the printed recipe for the open two-translation case, applied verbatim
     sample = AlgebraElement.numeric([1.0, 0.0, 0.0, 3.0, 1.0, 2.0])
     recipe = _published_recipe(_case_tag(sample.coeffs), sample.coeffs)
@@ -409,7 +408,11 @@ def _claim_one_dim(rng: np.random.Generator) -> Claim:
         "one-dim-representatives",
         DISCREPANCY,
         {
-            "random_sweep": sweep,
+            "random_sweep": {
+                "elements": len(sweep.scale),
+                "max_disallowed_coordinate": float(sweep.disallowed().max()),
+                "fallback_count": int(sweep.fallback.sum()),
+            },
             "published_recipe_sample": {
                 "input": _coords_json(sample),
                 "word": recipe.to_json(),

@@ -9,8 +9,10 @@ import sys
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
+import numpy as np
+
 from .algebra import BASIS, DIM, AlgebraElement, commutator_table, format_element
-from .adjoint import apply_word, closed_form
+from .adjoint import closed_form
 from .claims import claims_report
 from .jets import (
     DEFINING_EQUATION_LABELS,
@@ -20,7 +22,7 @@ from .jets import (
     invariance_residual,
     rigid_basis_field,
 )
-from .optimal import canonicalize_screw, classify_1d_paper, equivalence_search, proportionality_scale
+from .optimal import canonicalize_screw, classify_1d_paper, equivalence_search, unit_proportionality
 from .solutions import SOLUTION_PARAMETERS, builtin_fields, check_solutions
 
 DEFAULT_SEED = 42
@@ -132,8 +134,23 @@ def _run_classify(args: argparse.Namespace) -> int:
     element = _parse_vector(args.vector, "--vector")
     if element.is_zero():
         raise UsageError("--vector must be a nonzero element")
-    _print_json(_representative_payload(element))
+    # a scale that overflows is reported below as a usage error
+    with np.errstate(over="ignore"):
+        payload = _representative_payload(element)
+    if not all(math.isfinite(payload[key]["scale"]) for key in ("representative", "screw")):
+        raise UsageError("--vector is too small: its reported scale overflows float64")
+    _print_json(payload)
     return 0
+
+
+def _equiv_scale(word, ex: AlgebraElement, ey: AlgebraElement) -> Optional[float]:
+    """Ad_word(x) = scale * y: the unit-scale factor times max|x| / max|y|,
+    rounded once; None where that is not a finite, nonzero float64."""
+    mx, my = (Fraction(max(abs(c) for c in e.to_float().coeffs)) for e in (ex, ey))
+    try:
+        return float(Fraction(unit_proportionality(word, ex, ey)) * mx / my) or None
+    except OverflowError:
+        return None
 
 
 def _run_equiv(args: argparse.Namespace) -> int:
@@ -145,8 +162,7 @@ def _run_equiv(args: argparse.Namespace) -> int:
     if word is None:
         _print_json({"equivalent": False, "word": None, "scale": None})
     else:
-        lam = proportionality_scale(apply_word(word, ex), ey.to_float())
-        _print_json({"equivalent": True, "word": word.to_json(), "scale": lam})
+        _print_json({"equivalent": True, "word": word.to_json(), "scale": _equiv_scale(word, ex, ey)})
     return 0
 
 

@@ -7,9 +7,9 @@ translate away the perpendicular translation part).  The recipes are tried
 first; whenever they are ill-defined or leave a residual, the screw
 canonical form takes over and the result is flagged.  Its patterns are
 fixed: A12 (X_1) for a translation, else A14 (X_3 + b X_6), or A11 (X_6)
-where the pitch is too small for A14 to verify.  classify_1d_paper
-normalizes one element; classify_1d_many takes the same decisions for an
-(n, 6) array at once.
+where the pitch is too small for A14 to verify.  One driver,
+classify_1d_many, takes these decisions for an (n, 6) array;
+classify_1d_paper is its one-row view.
 """
 
 from __future__ import annotations
@@ -98,11 +98,10 @@ class OneDimRepresentative:
 class OneDimBatch:
     """The seven-case normalization of many elements, held as arrays.
 
-    Row i of every array is what classify_1d_paper returns for row i of the
-    input; a is NaN where the case has no a.  steps lists (generator, one
-    parameter per row): a row whose word skips a step holds 0 there, which
-    is the identity, so replaying every step in order applies each row's
-    word to its own row.
+    Row i of every array belongs to row i of the input; a is NaN where the
+    case has no a.  steps lists (generator, one parameter per row): a row
+    whose word skips a step holds 0 there, which is the identity, so
+    replaying every step in order applies each row's word to its own row.
     """
 
     case_tags: np.ndarray
@@ -115,6 +114,19 @@ class OneDimBatch:
 
     def word(self, i: int) -> AdjointWord:
         return _word((index, parameters[i]) for index, parameters in self.steps)
+
+    def representative(self, i: int) -> OneDimRepresentative:
+        """Row i, with plain Python values."""
+        tag = str(self.case_tags[i])
+        return OneDimRepresentative(
+            tag,
+            float(self.a[i]) if tag in CASES_WITH_A else None,
+            float(self.b[i]),
+            self.word(i),
+            float(self.scale[i]),
+            bool(self.fallback[i]),
+            AlgebraElement.numeric(self.representatives[i]),
+        )
 
     def replay(self, coords: np.ndarray) -> np.ndarray:
         """Ad(word(i)) of row i of coords, for every row."""
@@ -139,9 +151,8 @@ def pitch_of(x: AlgebraElement) -> Optional[float]:
 
 # ---------------------------------------------------------------------------
 # helpers of the normalizers: those that take coordinates accept one element,
-# shape (6,), or one element per row, shape (n, 6), so that
-# classify_1d_paper and classify_1d_many take the same decisions by the same
-# arithmetic
+# shape (6,), as canonicalize_screw passes it, or one element per row, shape
+# (n, 6), as classify_1d_many passes it
 # ---------------------------------------------------------------------------
 
 
@@ -224,27 +235,17 @@ def canonicalize_screw(x: AlgebraElement) -> ScrewForm:
 # ---------------------------------------------------------------------------
 
 
+# the case tag by which of v_1, v_2, v_3 are nonzero, bit k for v_{k+1}
+_TAG_BY_PATTERN = ("A11", "A12", "A13", "A15", "A14", "A16", "A17", "A15")
+
+
 def _case_tag(coords: Sequence) -> str:
-    t1, t2, t3 = (coords[i] != 0 for i in range(3))
-    if not (t1 or t2 or t3):
-        return "A11"
-    if t1 and not t2 and not t3:
-        return "A12"
-    if t2 and not t1 and not t3:
-        return "A13"
-    if t3 and not t1 and not t2:
-        return "A14"
-    if t1 and t2:
-        return "A15"
-    if t1 and t3:
-        return "A16"
-    return "A17"
+    return _TAG_BY_PATTERN[sum(1 << k for k in range(3) if coords[k] != 0)]
 
 
 def _case_tags(coords: np.ndarray) -> np.ndarray:
-    """_case_tag of every row, looked up by the zero pattern of v."""
-    by_pattern = np.array([_case_tag((p & 1, p & 2, p & 4)) for p in range(8)])
-    return by_pattern[(coords[:, :3] != 0) @ np.array([1, 2, 4])]
+    """_case_tag of every row."""
+    return np.array(_TAG_BY_PATTERN)[(coords[:, :3] != 0) @ np.array([1, 2, 4])]
 
 
 def _recipe(tag: str, coords: np.ndarray):
@@ -305,66 +306,28 @@ def _normalize_to_case(coords: np.ndarray, tag: str):
     return ok & (np.abs(a) > PATTERN_TOL), scale, normalized, a, b
 
 
-def _representative(tag, steps, moved, m, fallback) -> Optional[OneDimRepresentative]:
-    ok, scale, normalized, a, b = _normalize_to_case(moved, tag)
-    if not ok:
-        return None
-    return OneDimRepresentative(
-        tag,
-        float(a) if tag in CASES_WITH_A else None,
-        float(b),
-        _word(steps),
-        float(scale) / m,
-        fallback,
-        AlgebraElement.numeric(normalized),
-    )
-
-
 def classify_1d_paper(x: AlgebraElement) -> OneDimRepresentative:
-    """Normalize a nonzero element through the seven-case split.
-
-    The case is picked from the vanishing pattern of the translation
-    coordinates.  The published parameter recipe for that case is applied
-    verbatim; if the outcome misses the case pattern (the rotation-part
-    invariants frequently make it unreachable) and the element is not in
-    that pattern already, the screw canonical form produces a verified word
-    instead and the result carries fallback=True and a fixed pattern: A12
-    for a translation, else A14, or A11 where the pitch is too small for A14
-    to verify.  The work is done on x / max |coordinate|, so the result does
-    not depend on the magnitude of x.  classify_1d_many takes the same steps
-    for an array of elements.
-    """
+    """Normalize a nonzero element through the seven-case split: row 0 of
+    classify_1d_many of the one-row array of x."""
     if x.is_zero():
         raise ValueError("cannot classify the zero element")
-    unit, m = _unit(x)
-    tag = _case_tag(unit)
-    defined, recipe = _recipe(tag, unit)
-    if defined:
-        rep = _representative(tag, recipe, _apply_steps(recipe, unit), m, False)
-        if rep is not None:
-            return rep
-    # already in the case pattern without any motion
-    rep = _representative(tag, [], unit, m, True)
-    if rep is not None:
-        return rep
-    steps, moved, targets = _screw_steps(unit, bool(_is_translation(unit)))
-    for target in targets:
-        rep = _representative(target, steps, moved, m, True)
-        if rep is not None:
-            return rep
-    raise AssertionError(f"screw canonical form meets no fallback pattern for {x}")
+    return classify_1d_many(x.as_array()[None]).representative(0)
 
 
 def classify_1d_many(coords: np.ndarray) -> OneDimBatch:
-    """classify_1d_paper of every row of an (n, 6) array, in one pass.
+    """Normalize every row of an (n, 6) array through the seven-case split.
 
-    Each row goes through the same decisions in the same order, with the
-    same arithmetic, as in classify_1d_paper, a group of rows at a time: the
-    rows of one case tag try its published recipe, then the case pattern
-    without motion; then all rows left take the screw canonical form, the
-    translations and the screws as one group each.  Raises AssertionError
-    naming the first row that meets no fallback pattern, as
-    classify_1d_paper raises for that element.
+    The case tag is picked from the vanishing pattern of the translation
+    coordinates.  The rows of one tag try its published parameter recipe
+    verbatim, then the case pattern without motion.  Every row left (the
+    rotation-part invariants frequently make the pattern unreachable) takes
+    the screw canonical form, the translations and the screws as one group
+    each; it yields a verified word, fallback=True and a fixed pattern: A12
+    for a translation, else A14, or A11 where the pitch is too small for A14
+    to verify.  The work is done on each row divided by its largest
+    absolute coordinate, so a row's result depends neither on its magnitude
+    nor on the other rows.  Raises AssertionError naming the first row that
+    meets no fallback pattern.
     """
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != DIM:
@@ -465,7 +428,8 @@ def equivalence_search(x: AlgebraElement, y: AlgebraElement) -> Optional[Adjoint
 
     Screw invariants are compared first: kinds must agree and, for screws,
     the pitches (scale-free invariants) must match.  When they do, the
-    canonicalization words of both sides compose into an explicit witness.
+    canonicalization words of both sides compose into an explicit witness,
+    checked at unit scale by unit_proportionality.
     """
     if x.is_zero() or y.is_zero():
         raise ValueError("equivalence is defined for nonzero elements")
@@ -477,9 +441,18 @@ def equivalence_search(x: AlgebraElement, y: AlgebraElement) -> Optional[Adjoint
         if abs(sx.pitch - sy.pitch) > PATTERN_TOL * max(1.0, abs(sx.pitch), abs(sy.pitch)):
             return None
     word = sx.word.concat(sy.word.inverse()).simplified(tol=1e-12)
-    if proportionality_scale(apply_word(word, x), y.to_float()) is None:
+    if unit_proportionality(word, x, y) is None:
         return None
     return word
+
+
+def unit_proportionality(
+    word: AdjointWord, x: AlgebraElement, y: AlgebraElement
+) -> Optional[float]:
+    """proportionality_scale of Ad_word(x / max|x|) to y / max|y|: at unit
+    scale the replay cannot overflow, nor the factor underflow."""
+    mapped = apply_word(word, AlgebraElement.numeric(_unit(x)[0]))
+    return proportionality_scale(mapped, AlgebraElement.numeric(_unit(y)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -96,11 +96,14 @@ class SparsePoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
+        """Power by binary squaring, high bit first: two products per bit."""
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
         result = self.constant(1)
-        for _ in range(exponent):
-            result = result * self
+        for bit in f"{exponent:b}":
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other) -> bool:

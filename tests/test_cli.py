@@ -12,6 +12,7 @@ from test_claims import _assert_matches_golden
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 VERIFY_GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_solutions_default.json"
+EXAMPLES_GOLDEN = Path(__file__).resolve().parent / "golden" / "classify_equiv_examples.json"
 
 
 def _run(argv):
@@ -107,6 +108,53 @@ def test_classify_and_equiv_at_extreme_magnitudes(vector):
         payload = json.loads(out)
         _validate(payload, "equiv.json")
         assert payload["equivalent"] is True
+
+
+@pytest.mark.parametrize(
+    "x, y, word",
+    [
+        # the same element up to a factor of 1e-400, below float64
+        ("1e-200,0,0,0,0,0", "1e200,0,0,0,0,0", []),
+        # a 45-degree turn of x would overflow at x's own magnitude
+        ("1.5e308,1.5e308,0,0,0,0", "1,0,0,0,0,0", [[6, -math.pi / 4]]),
+    ],
+)
+def test_equiv_beyond_float64_scale_reports_a_null_scale(x, y, word):
+    status, out = _run(["equiv", "--x", x, "--y", y])
+    assert status == 0
+    payload = json.loads(out)
+    _validate(payload, "equiv.json")
+    assert payload == {"equivalent": True, "word": word, "scale": None}
+
+
+@pytest.mark.parametrize("vector", ["1e-320,0,0,0,0,1e-320", "5e-309,0,0,0,0,0"])
+def test_classify_with_a_subnormal_maximum_is_a_usage_error(vector, capsys):
+    # the scale 1 / max |coordinate| overflows float64
+    status, out = _run(["classify", "--vector", vector])
+    assert status == 2
+    assert out == ""
+    assert "--vector" in capsys.readouterr().err
+
+
+def test_classify_and_equiv_examples_match_the_golden():
+    """classify stdout byte for byte, and equiv's verdict and word exactly,
+    for the README examples, one element per case pattern, a translation, a
+    zero-pitch element, an exact rational input, the extreme magnitudes and
+    the conjugacy pairs of the one-dim claim; recorded while the scalar and
+    the batched seven-case drivers still both existed."""
+    golden = json.loads(EXAMPLES_GOLDEN.read_text())
+    for example in golden["classify"]:
+        status, out = _run(["classify", "--vector", example["vector"]])
+        assert status == 0
+        _validate(json.loads(out), "classify.json")
+        assert out.encode() == example["stdout"].encode(), example["vector"]
+    for example in golden["equiv"]:
+        status, out = _run(["equiv", "--x", example["x"], "--y", example["y"]])
+        assert status == 0
+        payload, want = json.loads(out), example["payload"]
+        _validate(payload, "equiv.json")
+        assert (payload["equivalent"], payload["word"]) == (want["equivalent"], want["word"])
+        _assert_matches_golden(payload["scale"], want["scale"], "scale")
 
 
 def test_classify_malformed_vector():

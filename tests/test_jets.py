@@ -118,6 +118,21 @@ def test_canonical_form_independent_of_construction_order(triple):
     assert len({p - p, 0}) == 1
 
 
+@pytest.mark.parametrize("poly", [x + y - 2 * z, C_sym - 2 * S_sym + s_sym], ids=["jet", "trig"])
+def test_power_by_squaring_equals_the_repeated_product(poly):
+    # the trig case checks that squaring meets the C^2 -> 1 - S^2 rewrite
+    product = poly.constant(1)
+    for k in range(10):
+        assert poly**k == product
+        assert _in_normal_form(poly**k)
+        product = product * poly
+
+
+def test_huge_power_is_one_monomial():
+    key = tuple(10**9 if name == "x" else 0 for name in JetPolynomial.VARIABLES)
+    assert JetPolynomial.parse("x^1000000000") == JetPolynomial({key: 1})
+
+
 def test_total_derivative_examples():
     assert u.total_derivative("x") == u_x
     assert (x * u_y).total_derivative("x") == u_y + x * u_xy

@@ -262,10 +262,11 @@ def test_classification_is_scale_free(row, magnitude):
 
 @settings(deadline=None)
 @given(st.lists(st.tuples(rows, magnitudes), min_size=1, max_size=24))
-def test_batch_matches_the_scalar_oracle_row_by_row(specs):
+def test_batch_rows_match_one_row_batches(specs):
+    # a row's result must not depend on the other rows of its batch
     coords = np.array([_element_of_kind(*row) * magnitude for row, magnitude in specs])
     try:
-        reps = [classify_1d_paper(AlgebraElement.numeric(x)) for x in coords]
+        reps = [classify_1d_many(coords[i : i + 1]).representative(0) for i in range(len(coords))]
     except AssertionError:
         with pytest.raises(AssertionError):
             classify_1d_many(coords)
@@ -405,18 +406,23 @@ def test_proportionality_has_no_absolute_floor():
     assert proportionality_scale(tiny, AlgebraElement.numeric([2e-10, 0, 0, 0, 0, 0])) == 0.5
 
 
-@settings(deadline=None)
-@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(-150, 150), st.integers(-150, 150))
-def test_equivalence_verdict_is_scale_free(seed, conjugate, kx, ky):
+def _equivalence_pair(seed, conjugate):
+    """A Gaussian x and, if conjugate, a scaled image of x under a random
+    word, else an independent Gaussian y."""
     rng = np.random.default_rng(seed)
     x = AlgebraElement.numeric(rng.standard_normal(6))
     if conjugate:
         word = AdjointWord(
             tuple((int(rng.integers(1, 7)), float(rng.uniform(-2, 2))) for _ in range(3))
         )
-        y = float(rng.uniform(0.2, 3.0)) * apply_word(word, x)
-    else:
-        y = AlgebraElement.numeric(rng.standard_normal(6))
+        return x, float(rng.uniform(0.2, 3.0)) * apply_word(word, x)
+    return x, AlgebraElement.numeric(rng.standard_normal(6))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(-150, 150), st.integers(-150, 150))
+def test_equivalence_verdict_is_scale_free(seed, conjugate, kx, ky):
+    x, y = _equivalence_pair(seed, conjugate)
     xs = AlgebraElement.numeric(x.as_array() * 10.0**kx)
     ys = AlgebraElement.numeric(y.as_array() * 10.0**ky)
     word = equivalence_search(x, y)
@@ -427,6 +433,26 @@ def test_equivalence_verdict_is_scale_free(seed, conjugate, kx, ky):
         scaled_lam = proportionality_scale(apply_word(scaled_word, xs), ys)
         want = lam * 10.0 ** (kx - ky)
         assert abs(scaled_lam - want) <= 1e-9 * abs(want)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.floats(-300, 300).map(lambda e: 10.0**e),
+    st.floats(-300, 300).map(lambda e: 10.0**e),
+)
+def test_equivalence_word_is_scale_free_across_float64(seed, conjugate, c1, c2):
+    # the word is replayed at unit scale, so neither 1e300 * x overflows nor
+    # a factor near 1e-600 underflows to a "not proportional" verdict
+    x, y = _equivalence_pair(seed, conjugate)
+    word = equivalence_search(x, y)
+    scaled_word = equivalence_search(
+        AlgebraElement.numeric(c1 * x.as_array()), AlgebraElement.numeric(c2 * y.as_array())
+    )
+    assert (word is not None) == (scaled_word is not None) == conjugate
+    if conjugate:
+        assert _same_word(scaled_word, word)
 
 
 def test_equivalence_on_constructed_orbit_pairs():

@@ -33,6 +33,8 @@ def test_classify_sweep_script():
     assert result.returncode == 0, result.stderr
     assert "elements                 50" in result.stdout
     assert "max word residual" in result.stdout
+    gap = next(line for line in result.stdout.splitlines() if line.startswith("max pitch disagreement"))
+    assert float(gap.split()[-1]) < 1e-9
 
 
 def test_run_claims_script_reports_the_expected_discrepancies(tmp_path):
