@@ -2,10 +2,12 @@
 """Sweep random elements through the seven-case normalization.
 
 Draws and classifies the Gaussian elements as the one-dim claim does
-(claims.gaussian_sweep), and reports how often each case tag occurs, how
-often the published recipes suffice on their own, the worst residuals of
-the verified words (replayed in batch) and the worst disagreement with the
-pitch v.w / |w|^2 of the screw canonical form, all over whole arrays.
+(claims.gaussian_sweep on default_rng(seed)); with --seed S --count 2000
+these are exactly the elements of the claim's random sweep for seed S.
+Reports how often each case tag occurs, how often the published recipes
+suffice on their own, the worst residuals of the verified words (replayed
+in batch) and the worst disagreement with the pitch v.w / |w|^2 of the
+screw canonical form, all over whole arrays.
 
 Usage: python scripts/classify_sweep.py [--count N] [--seed S]
 """

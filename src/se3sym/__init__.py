@@ -45,8 +45,6 @@ from .optimal import (
 from .jets import (
     JetPolynomial,
     PointVectorField,
-    SymmetryAnsatz,
-    ansatz_residuals,
     defining_equations,
     invariance_residual,
     second_prolongation,

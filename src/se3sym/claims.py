@@ -39,8 +39,6 @@ from .adjoint import (
 from .jets import (
     JetPolynomial,
     PointVectorField,
-    SymmetryAnsatz,
-    ansatz_residuals,
     defining_equations,
     dilation_field,
     invariance_residual,
@@ -65,7 +63,6 @@ from .solutions import RESIDUAL_BOUND, check_solutions
 
 CONFIRMED = "confirmed"
 DISCREPANCY = "discrepancy"
-UNRESOLVED = "unresolved"
 
 
 @dataclass(frozen=True)
@@ -155,11 +152,20 @@ PUBLISHED_LAPLACE_EXTRAS = (
     ("printed_conformal_y", "x*y", "x^2 + y^2 + z^2", "y*z", "y*u"),
 )
 
-# the coefficient-corrected conformal fields the solver is asked about
-CLASSICAL_CONFORMAL = (
-    ("conformal_z", ("2*x*z", "2*y*z", "z^2 - x^2 - y^2"), "-z"),
-    ("conformal_x", ("x^2 - y^2 - z^2", "2*x*y", "2*x*z"), "-x"),
-    ("conformal_y", ("2*x*y", "y^2 - x^2 - z^2", "2*y*z"), "-y"),
+# the eleven-coefficient generator family, one member per coefficient
+# a1..a11 with F2 = 0: (label, xi1, xi2, xi3, phi) in the printed form
+PUBLISHED_GENERATOR_FAMILY = (
+    ("conformal_z", "2*x*z", "2*y*z", "z^2 - x^2 - y^2", "-z*u"),
+    ("rotation_yz", "0", "z", "-y", "0"),
+    ("translation_z", "0", "0", "1", "0"),
+    ("rotation_xz", "-z", "0", "x", "0"),
+    ("conformal_y", "2*x*y", "y^2 - x^2 - z^2", "2*y*z", "-y*u"),
+    ("dilation", "x", "y", "z", "0"),
+    ("conformal_x", "x^2 - y^2 - z^2", "2*x*y", "2*x*z", "-x*u"),
+    ("rotation_xy", "y", "-x", "0", "0"),
+    ("translation_x", "1", "0", "0", "0"),
+    ("translation_y", "0", "1", "0", "0"),
+    ("u_scaling", "0", "0", "0", "u"),
 )
 
 
@@ -273,30 +279,31 @@ def _claim_adjoint_matrices() -> List[Claim]:
     return claims
 
 
-def _claim_generator_family(rng: np.random.Generator) -> Claim:
-    draws = 25
+def _claim_generator_family() -> Claim:
+    # defining_equations is linear in the field and the field is linear in
+    # a1..a11, so the eleven members decide every coefficient vector
     linear_rows_ok = True
-    for _ in range(draws):
-        coeffs = [Fraction(int(t)) for t in rng.integers(-4, 5, size=11)]
-        ansatz = SymmetryAnsatz(tuple(coeffs))
-        residuals = defining_equations(ansatz.field())
+    rigid_ok = True
+    for label, *components in PUBLISHED_GENERATOR_FAMILY:
+        residuals = defining_equations(PointVectorField.parse(";".join(components)))
         # every row not involving the source must vanish identically
         linear_rows_ok = linear_rows_ok and all(r.is_zero() for r in residuals[:12])
-    rigid_ok = True
-    for kwargs in ({"a9": 1}, {"a10": 1}, {"a3": 1}, {"a2": 1}, {"a4": 1}, {"a8": 1}):
-        residuals = ansatz_residuals(SymmetryAnsatz.from_coeffs(**kwargs), "generic")
-        rigid_ok = rigid_ok and all(r.is_zero() for r in residuals)
+        if label.startswith(("translation", "rotation")):
+            rigid_ok = rigid_ok and all(r.is_zero() for r in residuals)
     status = CONFIRMED if linear_rows_ok and rigid_ok else DISCREPANCY
     return Claim(
         "symmetry-generator-family",
         status,
         {
-            "random_coefficient_draws": draws,
+            "basis_fields": len(PUBLISHED_GENERATOR_FAMILY),
             "linear_rows_identically_zero": linear_rows_ok,
             "rigid_slices_fully_admissible": rigid_ok,
             "note": (
-                "the source row is checked on slices only; the constraint tying "
-                "the inhomogeneous u-part to the source is not solved here"
+                "the defining system is linear in the field and the field in "
+                "a1..a11, so the eleven one-coefficient members decide every "
+                "coefficient vector; the source row is checked on the rigid "
+                "members only; the constraint tying the inhomogeneous u-part to "
+                "the source is not solved here"
             ),
         },
     )
@@ -322,8 +329,8 @@ def _claim_rigid_symmetries() -> Claim:
 def _claim_laplace_extras() -> Claim:
     results = {}
     printed_all_consistent = True
-    for label, xi1, xi2, xi3, phi in PUBLISHED_LAPLACE_EXTRAS:
-        field_v = PointVectorField.parse(";".join((xi1, xi2, xi3, phi)))
+    for label, *components in PUBLISHED_LAPLACE_EXTRAS:
+        field_v = PointVectorField.parse(";".join(components))
         residuals = [substitute_zero_source(r) for r in defining_equations(field_v)]
         direct_ok = all(r.is_zero() for r in residuals)
         space = solve_phi_for_xi(field_v.xi(), "zero", 2)
@@ -351,9 +358,12 @@ def _claim_laplace_extras() -> Claim:
         "homogeneous_dimension": zero_space.dimension,
         "note": "u-coefficient constant plus any harmonic polynomial of degree <= 2",
     }
-    for label, xi_texts, expected_g in CLASSICAL_CONFORMAL:
-        xi = tuple(JetPolynomial.parse(t) for t in xi_texts)
-        space = solve_phi_for_xi(xi, "zero", 2)
+    for label, *components in PUBLISHED_GENERATOR_FAMILY:
+        if not label.startswith("conformal"):
+            continue
+        field_v = PointVectorField.parse(";".join(components))
+        space = solve_phi_for_xi(field_v.xi(), "zero", 2)
+        expected_g = str(field_v.phi.partial("u"))
         results[label] = {
             "u_coefficient_gauge_fixed": str(space.gauge_fixed_g()) if space else None,
             "expected": expected_g,
@@ -382,8 +392,8 @@ def gaussian_sweep(rng: np.random.Generator, count: int) -> Tuple[np.ndarray, On
     return coords, classify_1d_many(coords)
 
 
-def _claim_one_dim(rng: np.random.Generator) -> Claim:
-    _, sweep = gaussian_sweep(rng, 2000)
+def _claim_one_dim(seed: int) -> Claim:
+    _, sweep = gaussian_sweep(np.random.default_rng(seed), 2000)
     # the printed recipe for the open two-translation case, applied verbatim
     sample = AlgebraElement.numeric([1.0, 0.0, 0.0, 3.0, 1.0, 2.0])
     recipe = _published_recipe(_case_tag(sample.coeffs), sample.coeffs)
@@ -589,13 +599,12 @@ def _claim_solutions(seed: int) -> Claim:
 
 def claims_report(samples: int = 100000, seed: int = 42) -> ClaimsReport:
     """Recompute and grade every published claim; deterministic per seed."""
-    rng = np.random.default_rng(seed)
     claims: List[Claim] = [_claim_commutator_table()]
     claims.extend(_claim_adjoint_matrices())
-    claims.append(_claim_generator_family(rng))
+    claims.append(_claim_generator_family())
     claims.append(_claim_rigid_symmetries())
     claims.append(_claim_laplace_extras())
-    claims.append(_claim_one_dim(rng))
+    claims.append(_claim_one_dim(seed))
     claims.append(_claim_two_dim())
     claims.extend(_claim_three_four_dim())
     claims.append(_claim_five_dim(samples, seed))

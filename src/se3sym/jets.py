@@ -616,77 +616,3 @@ def solve_phi_for_xi(
 def field_from_phi(xi: Sequence[JetPolynomial], g: JetPolynomial, h: JetPolynomial) -> PointVectorField:
     xi1, xi2, xi3 = (JetPolynomial.coerce(c) for c in xi)
     return PointVectorField(xi1, xi2, xi3, g * u + h)
-
-
-# ---------------------------------------------------------------------------
-# closed-form generator family
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SymmetryAnsatz:
-    """Eleven-coefficient family of candidate generators.
-
-    The induced spatial components are fixed quadratic polynomials in the
-    coefficients; the u-part is F1*u + F2 with F1 determined by the same
-    coefficients and F2 a free polynomial in x, y, z.
-    """
-
-    a: Tuple[Fraction, ...]
-    f2: Optional[JetPolynomial] = None
-
-    def __post_init__(self):
-        if len(self.a) != 11:
-            raise ValueError("the ansatz takes 11 coefficients")
-        object.__setattr__(self, "a", tuple(Fraction(c) for c in self.a))
-
-    @classmethod
-    def from_coeffs(cls, **kwargs) -> "SymmetryAnsatz":
-        """Build from keyword coefficients a1..a11 (missing ones are 0)."""
-        coeffs = [Fraction(0)] * 11
-        f2 = kwargs.pop("f2", None)
-        for key, value in kwargs.items():
-            if not key.startswith("a"):
-                raise ValueError(f"unknown coefficient {key!r}")
-            coeffs[int(key[1:]) - 1] = Fraction(value)
-        return cls(tuple(coeffs), f2)
-
-    def f1(self) -> JetPolynomial:
-        a = self.a
-        return JetPolynomial.constant(a[10]) - (a[6] * x + a[4] * y + a[0] * z)
-
-    def field(self) -> PointVectorField:
-        a = self.a
-        xi1 = (
-            a[6] * (x * x - y * y - z * z)
-            + 2 * (a[4] * y + a[0] * z) * x
-            + a[5] * x + a[7] * y - a[3] * z
-            + JetPolynomial.constant(a[8])
-        )
-        xi2 = (
-            a[4] * (y * y - z * z - x * x)
-            + 2 * (a[6] * x + a[0] * z) * y
-            - a[7] * x + a[5] * y + a[1] * z
-            + JetPolynomial.constant(a[9])
-        )
-        xi3 = (
-            a[0] * (z * z - x * x - y * y)
-            + 2 * (a[6] * x + a[4] * y) * z
-            + a[3] * x - a[1] * y + a[5] * z
-            + JetPolynomial.constant(a[2])
-        )
-        f2 = self.f2 if self.f2 is not None else JetPolynomial.zero()
-        phi = self.f1() * u + f2
-        return PointVectorField(xi1, xi2, xi3, phi)
-
-
-def ansatz_residuals(ansatz: SymmetryAnsatz, f_mode: str) -> List[JetPolynomial]:
-    """Defining-system residuals of the instantiated ansatz."""
-    if f_mode not in ("zero", "generic"):
-        raise ValueError(f"unknown f_mode {f_mode!r}")
-    if f_mode == "zero" and ansatz.f2 is None:
-        raise ValueError("the zero-source mode needs an explicit F2")
-    residuals = defining_equations(ansatz.field())
-    if f_mode == "zero":
-        residuals = [substitute_zero_source(r) for r in residuals]
-    return residuals

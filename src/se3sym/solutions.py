@@ -288,15 +288,17 @@ def verify_invariance(
 
 
 def flow_vs_closed_form(
-    k: int, s_grid: Sequence[float], point_grid: Sequence[Point]
+    k: Union[int, Sequence[int]], s_grid: Sequence[float], point_grid: Sequence[Point]
 ) -> float:
     """Max distance between the integrated flow and the closed coordinate map,
-    over every (s, p) of the grids, integrated as one batch."""
-    basis = AlgebraElement.numeric([1.0 if i == k - 1 else 0.0 for i in range(6)])
+    over every generator k (one index or a sequence of them) and every (s, p)
+    of the grids, integrated as one batch."""
+    ks = [k] if np.ndim(k) == 0 else list(k)
     s_rows = np.repeat(np.asarray(s_grid, dtype=float), len(point_grid))
     p_rows = np.tile(np.asarray(point_grid, dtype=float).reshape(-1, 3), (len(s_grid), 1))
-    integrated = flow(basis, s_rows, p_rows).endpoint
-    reference = np.column_stack(rigid_motion(k, s_rows, *p_rows.T))
+    reference = np.concatenate([np.column_stack(rigid_motion(g, s_rows, *p_rows.T)) for g in ks])
+    basis = np.eye(6)[np.repeat(np.asarray(ks, dtype=int) - 1, len(s_rows))]
+    integrated = flow(basis, np.tile(s_rows, len(ks)), np.tile(p_rows, (len(ks), 1))).endpoint
     return float(np.abs(integrated - reference).max(initial=0.0))
 
 
@@ -357,5 +359,5 @@ def check_solutions(
         abs(pde_residual(exp_field, exp_field.source, (0.0, 0.0, 0.0), step))
         for step in CONVERGENCE_STEPS
     )
-    flow_error = max(flow_vs_closed_form(k, FLOW_S_GRID, FLOW_POINTS) for k in range(1, 7))
+    flow_error = flow_vs_closed_form(range(1, 7), FLOW_S_GRID, FLOW_POINTS)
     return SolutionChecks(residuals, coarse / fine, flow_error)

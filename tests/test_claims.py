@@ -2,13 +2,16 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from se3sym.claims import (
     CONFIRMED,
     DISCREPANCY,
     PUBLISHED_COMMUTATORS,
+    _claim_one_dim,
     claims_report,
+    gaussian_sweep,
     published_adjoint_matrix,
 )
 from se3sym.adjoint import closed_form
@@ -113,6 +116,27 @@ def test_one_dim_claim_has_conjugacy_words(report):
     assert recipe["verified_fallback"]["case"] == "A14"
 
 
+@pytest.mark.parametrize("seed", [0, 42, 7])
+def test_one_dim_sweep_is_the_scripts_sweep(seed):
+    """The claim's random sweep is gaussian_sweep of its own seeded stream,
+    so classify_sweep.py --seed S --count 2000 classifies its elements."""
+    _, sweep = gaussian_sweep(np.random.default_rng(seed), 2000)
+    assert _claim_one_dim(seed).evidence["random_sweep"] == {
+        "elements": 2000,
+        "max_disallowed_coordinate": float(sweep.disallowed().max()),
+        "fallback_count": int(sweep.fallback.sum()),
+    }
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: a sweep element in the open pitch band meets no fallback pattern",
+)
+def test_report_survives_a_pitch_band_element_in_the_sweep():
+    claims_report(samples=1000, seed=1363)
+
+
 def test_five_dim_claim_label(report):
     claim = next(c for c in report.claims if c.claim_id == "no-five-dim-subalgebra")
     assert "consistent" in claim.evidence["label"]
@@ -162,7 +186,8 @@ def _assert_matches_golden(got, want, path="report"):
 
 
 def test_default_report_matches_the_golden():
-    """The default check-claims report, recorded before the RK4 flow became
-    a batched propagator; see CHANGES.md for the fields that moved."""
+    """The default check-claims report, recorded when the generator family
+    became exact and each claim took its own seeded stream; see CHANGES.md
+    for the fields that moved."""
     got = json.loads(claims_report(samples=100000, seed=42).to_json())
     _assert_matches_golden(got, json.loads(GOLDEN.read_text()))

@@ -10,8 +10,6 @@ from se3sym.jets import (
     JetPolynomial,
     OrderOverflowError,
     PointVectorField,
-    SymmetryAnsatz,
-    ansatz_residuals,
     defining_equations,
     dilation_field,
     explicit_phi_x,
@@ -33,6 +31,7 @@ from se3sym.jets import (
 )
 from se3sym import jets
 from se3sym.adjoint import TrigPoly
+from se3sym.claims import PUBLISHED_GENERATOR_FAMILY
 from se3sym.algebra import SE3
 from se3sym.linalg import exact_solve
 
@@ -466,43 +465,47 @@ def test_solve_rejects_non_integer_caps_before_the_cache():
 # ---------------------------------------------------------------------------
 
 
+FAMILY = {
+    label: PointVectorField.parse(";".join(components))
+    for label, *components in PUBLISHED_GENERATOR_FAMILY
+}
+
+
+def _nonzero_residuals(label):
+    return [r for r in defining_equations(FAMILY[label]) if not r.is_zero()]
+
+
 def test_ansatz_translation_slice():
-    residuals = ansatz_residuals(SymmetryAnsatz.from_coeffs(a9=1), "generic")
-    assert all(r.is_zero() for r in residuals)
+    for axis in ("x", "y", "z"):
+        assert _nonzero_residuals(f"translation_{axis}") == []
 
 
 def test_ansatz_rotation_slice():
-    residuals = ansatz_residuals(SymmetryAnsatz.from_coeffs(a4=1), "generic")
-    assert all(r.is_zero() for r in residuals)
+    for plane in ("yz", "xz", "xy"):
+        assert _nonzero_residuals(f"rotation_{plane}") == []
 
 
 def test_ansatz_dilation_slice_fails_generic_source():
-    residuals = ansatz_residuals(SymmetryAnsatz.from_coeffs(a6=1), "generic")
-    nonzero = [r for r in residuals if not r.is_zero()]
-    assert nonzero == [-2 * f_atom]
+    assert _nonzero_residuals("dilation") == [-2 * f_atom]
 
 
 def test_ansatz_u_scaling_slice_fails_generic_source():
-    residuals = ansatz_residuals(SymmetryAnsatz.from_coeffs(a11=1), "generic")
-    nonzero = [r for r in residuals if not r.is_zero()]
-    assert nonzero == [-u * f_prime]
+    assert _nonzero_residuals("u_scaling") == [-u * f_prime]
 
 
-def test_ansatz_linear_rows_hold_for_random_coefficients():
+def test_defining_equations_are_linear_over_the_family():
+    """The premise of the family claim: the residuals of a combination of
+    the eleven members are the same combination of their residuals."""
     rng = random.Random(2718)
-    for _ in range(25):
-        coeffs = tuple(Fraction(rng.randint(-4, 4)) for _ in range(11))
-        residuals = defining_equations(SymmetryAnsatz(coeffs).field())
-        assert all(r.is_zero() for r in residuals[:12])
-
-
-def test_ansatz_zero_mode_requires_f2():
-    with pytest.raises(ValueError):
-        ansatz_residuals(SymmetryAnsatz.from_coeffs(a9=1), "zero")
-    residuals = ansatz_residuals(
-        SymmetryAnsatz.from_coeffs(a11=1, f2=JetPolynomial.zero()), "zero"
-    )
-    assert all(r.is_zero() for r in residuals)
+    members = list(FAMILY.values())
+    for _ in range(5):
+        coeffs = [Fraction(rng.randint(-4, 4)) for _ in members]
+        parts = [JetPolynomial.zero()] * 4
+        expected = [JetPolynomial.zero()] * 13
+        for c, member in zip(coeffs, members):
+            parts = [p + c * comp for p, (_, comp) in zip(parts, member.components())]
+            expected = [e + c * r for e, r in zip(expected, defining_equations(member))]
+        assert defining_equations(PointVectorField(*parts)) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,16 @@ def test_flow_vs_closed_form_all_generators():
         assert flow_vs_closed_form(k, s_grid, points) <= 1e-8
 
 
+def test_flow_vs_closed_form_of_several_generators_is_the_maximum_of_each():
+    s_grid = np.linspace(-1, 1, 9)
+    points = [(0.3, 0.4, 0.5), (-0.2, 0.7, -0.1), (0.05, -0.6, 0.3)]
+    for ks in ([4], [6, 2, 5], range(1, 7)):
+        expected = max(flow_vs_closed_form(k, s_grid, points) for k in ks)
+        assert flow_vs_closed_form(ks, s_grid, points) == expected
+    with pytest.raises(ValueError):
+        flow_vs_closed_form([1, 7], s_grid, points)
+
+
 def test_source_terms():
     assert SourceTerm.zero()(3.0) == 0.0
     assert SourceTerm.constant(6.0)(-1.0) == 6.0
