@@ -5,11 +5,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
-import numpy as np
+# no matrix here has more than six columns, so BLAS threads would only spin;
+# this must run before numpy is first imported
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .algebra import BASIS, DIM, AlgebraElement, commutator_table, format_element
 from .adjoint import closed_form
@@ -134,11 +137,10 @@ def _run_classify(args: argparse.Namespace) -> int:
     element = _parse_vector(args.vector, "--vector")
     if element.is_zero():
         raise UsageError("--vector must be a nonzero element")
-    # a scale that overflows is reported below as a usage error
-    with np.errstate(over="ignore"):
+    try:
         payload = _representative_payload(element)
-    if not all(math.isfinite(payload[key]["scale"]) for key in ("representative", "screw")):
-        raise UsageError("--vector is too small: its reported scale overflows float64")
+    except ValueError as exc:
+        raise UsageError("--vector is too small: its reported scale overflows float64") from exc
     _print_json(payload)
     return 0
 

@@ -167,6 +167,18 @@ def _unit(x: AlgebraElement) -> Tuple[np.ndarray, float]:
     return coords / m, m
 
 
+def _scale(unit_scale, m, coords: np.ndarray):
+    """unit_scale / m, the scale reported for coords; raises ValueError
+    naming the first row where it is not finite (m subnormal)."""
+    with np.errstate(over="ignore"):
+        scale = unit_scale / m
+    finite = np.isfinite(np.atleast_1d(scale))
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"scale overflows float64 in row {row}: {np.atleast_2d(coords)[row].tolist()}")
+    return scale
+
+
 def _norm3(p: np.ndarray) -> np.ndarray:
     return np.sqrt(p[..., 0] * p[..., 0] + p[..., 1] * p[..., 1] + p[..., 2] * p[..., 2])
 
@@ -218,16 +230,17 @@ def _screw_steps(coords: np.ndarray, translation: bool):
 
 
 def canonicalize_screw(x: AlgebraElement) -> ScrewForm:
-    """Independent canonical form driven by the screw invariants."""
+    """Independent canonical form driven by the screw invariants; raises
+    ValueError where the scale overflows float64."""
     if x.is_zero():
         raise ValueError("cannot canonicalize the zero element")
     unit, m = _unit(x)
     translation = bool(_is_translation(unit))
     steps, moved, _ = _screw_steps(unit, translation)
+    scale = float(_scale(1.0 / (_norm3(unit[:3]) if translation else moved[5]), m, x.as_array()))
     if translation:
-        return ScrewForm("translation", None, _word(steps), float(1.0 / _norm3(unit[:3]) / m))
-    pitch = pitch_of(AlgebraElement.numeric(unit))
-    return ScrewForm("screw", pitch, _word(steps), float(1.0 / moved[5] / m))
+        return ScrewForm("translation", None, _word(steps), scale)
+    return ScrewForm("screw", pitch_of(AlgebraElement.numeric(unit)), _word(steps), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +340,8 @@ def classify_1d_many(coords: np.ndarray) -> OneDimBatch:
     to verify.  The work is done on each row divided by its largest
     absolute coordinate, so a row's result depends neither on its magnitude
     nor on the other rows.  Raises AssertionError naming the first row that
-    meets no fallback pattern.
+    meets no fallback pattern, and ValueError naming the first row whose
+    scale overflows float64 (its largest coordinate is subnormal).
     """
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != DIM:
@@ -352,7 +366,7 @@ def classify_1d_many(coords: np.ndarray) -> OneDimBatch:
         ok, s, normalized, ca, cb = _normalize_to_case(moved, tag)
         kept = rows[ok]
         out_tags[kept] = tag
-        a[kept], b[kept], scale[kept] = ca[ok], cb[ok], s[ok] / m[kept]
+        a[kept], b[kept], scale[kept] = ca[ok], cb[ok], s[ok]
         representatives[kept] = normalized[ok]
         done[kept] = True
         return ok
@@ -393,6 +407,7 @@ def classify_1d_many(coords: np.ndarray) -> OneDimBatch:
                 f"screw canonical form meets no fallback pattern for row {row}: "
                 f"{coords[row].tolist()}"
             )
+    scale = _scale(scale, m, coords)
     return OneDimBatch(out_tags, a, b, scale, fallback, representatives, tuple(steps))
 
 

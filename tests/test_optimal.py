@@ -359,6 +359,19 @@ def test_batch_rejects_bad_input():
     assert len(classify_1d_many(np.zeros((0, 6))).scale) == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("vector", [[5e-309, 0, 0, 0, 0, 0], [1e-320, 0, 0, 0, 0, 1e-320]])
+def test_a_scale_that_overflows_is_a_value_error(vector):
+    # the scale 1 / max |coordinate| overflows float64: an error, not inf
+    element = AlgebraElement.numeric(vector)
+    with pytest.raises(ValueError, match="row 0"):
+        classify_1d_paper(element)
+    with pytest.raises(ValueError, match="row 0"):
+        canonicalize_screw(element)
+    with pytest.raises(ValueError, match="row 2"):
+        classify_1d_many(np.array([[1.0, 2, 3, 4, 5, 6], [0, 0, 0, 1, 0, 0], vector]))
+
+
 # ---------------------------------------------------------------------------
 # equivalence search
 # ---------------------------------------------------------------------------
