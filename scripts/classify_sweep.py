@@ -13,8 +13,13 @@ Usage: python scripts/classify_sweep.py [--count N] [--seed S]
 """
 
 import argparse
+import os
 import time
 from collections import Counter
+
+# no matrix here has more than six columns, so BLAS threads would only spin;
+# this must run before numpy is first imported
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -5,8 +5,13 @@ Usage: python scripts/run_claims.py [--samples N] [--seed S] [--out FILE]
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+# no matrix here has more than six columns, so BLAS threads would only spin;
+# this must run before numpy is first imported
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from se3sym.claims import claims_report
 

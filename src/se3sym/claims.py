@@ -230,6 +230,8 @@ def _claim_commutator_table() -> Claim:
             expect = table[i][j].coeffs
             acc = [JetPolynomial.zero() for _ in range(4)]
             for k in range(DIM):
+                if not expect[k]:
+                    continue
                 for slot, (_, comp) in enumerate(fields[k].components()):
                     acc[slot] = acc[slot] + expect[k] * comp
             got = [comp for _, comp in lie.components()]

@@ -602,8 +602,8 @@ _ResidualPlan = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[Tuple[int, bool],
 
 @functools.lru_cache(maxsize=None)
 def _residual_plan() -> _ResidualPlan:
-    """The monomials lam_i*lam_j of the quadrics, and each quadric as steps
-    (monomial index, subtract) in its term order.
+    """The monomials lam_i*lam_j of the quadrics, the squares lam_k^2 first,
+    and each quadric as steps (monomial index, subtract) in its term order.
 
     Every coefficient is +-1, so float(c)*lam_i*lam_j is +-(lam_i*lam_j)
     exactly and a quadric is its monomials added or subtracted.  A quadric
@@ -613,7 +613,11 @@ def _residual_plan() -> _ResidualPlan:
     quadrics = frobenius_quadrics().values()
     if any(abs(c) != 1 for quadric in quadrics for c in quadric.values()):
         raise ArithmeticError("the residual kernel needs quadric coefficients of +-1")
-    monomials = sorted({key for quadric in quadrics for key in quadric})
+    monomials = sorted(
+        {key for quadric in quadrics for key in quadric}, key=lambda m: (m[0] != m[1], m)
+    )
+    if monomials[:DIM] != [(k, k) for k in range(DIM)]:
+        raise ArithmeticError("the residual kernel needs every square lam_k^2")
     plans = []
     for quadric in quadrics:
         first = next(iter(quadric.values()))
@@ -632,40 +636,55 @@ class _ResidualKernel:
 
     def __init__(self) -> None:
         self.monomials, self.plans = _residual_plan()
+        # the quadrics made of squares alone, monomials 0..5
+        self.diagonal = [plan for plan in self.plans if all(m < DIM for m, _ in plan)]
         self.raw = np.empty((_CHUNK, DIM))
         self.unit = np.empty((DIM, _CHUNK))
         self.products = np.empty((len(self.monomials), _CHUNK))
         self.term = np.empty(_CHUNK)
         self.residual = np.empty(_CHUNK)
 
-    def __call__(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    def __call__(self, n: int, bound: Optional[float] = None) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Normalize the first n rows of raw; return the unit covectors,
         coordinate-major with shape (6, n), and the residual of each.
 
-        Both are views of the buffers, overwritten by the next call.
+        Both are views of the buffers, overwritten by the next call.  Given a
+        bound, return None instead when every residual exceeds it.
         """
         raw, unit, products = self.raw[:n], self.unit[:, :n], self.products[:, :n]
         term, residual = self.term[:n], self.residual[:n]
-        # |lam|^2 summed coordinate by coordinate, the order np.linalg.norm
-        # takes along a row; residual holds |lam| until the quadrics need it
-        np.multiply(raw[:, 0], raw[:, 0], out=residual)
-        for k in range(1, DIM):
-            np.multiply(raw[:, k], raw[:, k], out=term)
-            np.add(residual, term, out=residual)
+        # raw_k^2 in rows 0..5 of products (those of lam_k^2), and |lam|^2 summed
+        # from them coordinate by coordinate, the order np.linalg.norm takes
+        # along a row; residual holds |lam| until the quadrics need it
+        np.multiply(raw.T, raw.T, out=products[:DIM])
+        np.add.reduce(products[:DIM], axis=0, out=residual)
+        if bound is not None:
+            # the diagonal quadrics bound the residual from below.  From raw
+            # squares over |lam|^2 they differ from the kernel's own, taken of
+            # rounded unit coordinates, by ~20 ulp, far inside the 1e-12 margin
+            self._max_abs(self.diagonal, products, unit[0], term)
+            np.divide(unit[0], residual, out=unit[0])
+            if unit[0].min() > bound * (1 + 1e-12):
+                return None
         np.sqrt(residual, out=residual)
         np.divide(raw.T, residual, out=unit)
         for product, (i, j) in zip(products, self.monomials):
             np.multiply(unit[i], unit[j], out=product)
-        for q, ((first, _), *steps) in enumerate(self.plans):
-            value = residual if q == 0 else term
+        self._max_abs(self.plans, products, residual, term)
+        return unit, residual
+
+    @staticmethod
+    def _max_abs(plans, products: np.ndarray, out: np.ndarray, term: np.ndarray) -> None:
+        """out = max |q| over the quadrics of plans, summed from products."""
+        for q, ((first, _), *steps) in enumerate(plans):
+            value = out if q == 0 else term
             source = products[first]
             for k, subtract in steps:
                 (np.subtract if subtract else np.add)(source, products[k], out=value)
                 source = value
             np.abs(source, out=value)
             if q:
-                np.maximum(residual, value, out=residual)
-        return unit, residual
+                np.maximum(out, value, out=out)
 
 
 def _hyperplane_basis(lam: np.ndarray) -> np.ndarray:
@@ -692,9 +711,10 @@ def _integer_grid() -> np.ndarray:
     return grid
 
 
-def _residual_blocks(samples: int, seed: int):
+def _residual_blocks(samples: int, seed: int, bound=lambda: None):
     """The integer grid, then seeded random covectors, _CHUNK rows at a time,
-    each block as the (unit, residual) views of one _ResidualKernel.
+    each block as the (unit, residual) views of one _ResidualKernel, or None
+    where every residual exceeds bound(), read as the block comes due.
 
     Drawing block by block reads the same default_rng stream as drawing all
     samples at once, so the covectors do not depend on the block size.
@@ -704,12 +724,12 @@ def _residual_blocks(samples: int, seed: int):
     for start in range(0, len(grid), _CHUNK):
         block = grid[start : start + _CHUNK]
         kernel.raw[: len(block)] = block
-        yield kernel(len(block))
+        yield kernel(len(block), bound())
     rng = np.random.default_rng(seed)
     for start in range(0, samples, _CHUNK):
         n = min(_CHUNK, samples - start)
         rng.standard_normal(out=kernel.raw[:n])
-        yield kernel(n)
+        yield kernel(n, bound())
 
 
 def hyperplane_scan(samples: int, seed: int, threshold: float = 1e-6) -> HyperplaneScan:
@@ -723,7 +743,10 @@ def hyperplane_scan(samples: int, seed: int, threshold: float = 1e-6) -> Hyperpl
         raise ValueError("samples must be at least 1")
     min_residual = math.inf
     found = None
-    for unit, residuals in _residual_blocks(samples, seed):
+    # a block whose residuals all exceed both the minimum so far and the
+    # threshold can neither lower the one nor hold a witness for the other
+    blocks = _residual_blocks(samples, seed, lambda: max(min_residual, threshold))
+    for unit, residuals in filter(None, blocks):
         best = int(np.argmin(residuals))
         min_residual = min(min_residual, float(residuals[best]))
         if found is None and residuals[best] <= threshold:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from se3sym.algebra import (
@@ -767,3 +767,111 @@ def test_scan_above_floor_returns_kernel_basis(certificate):
     generators = np.array([g.as_array() for g in scan.found.generators])
     assert generators.shape == (5, 6)
     assert np.abs(generators @ lam).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the kernel's bound: four diagonal quadrics rule a block out
+# ---------------------------------------------------------------------------
+
+# the quadrics made of squares alone, 0-based triple -> exact coefficients
+_DIAGONAL = {
+    (0, 1, 5): {(0, 0): 1, (1, 1): 1},
+    (0, 2, 4): {(0, 0): -1, (2, 2): -1},
+    (1, 2, 3): {(1, 1): 1, (2, 2): 1},
+    (3, 4, 5): {(3, 3): 1, (4, 4): 1, (5, 5): 1},
+}
+# the kernel's residual of the floor rows: 2/5 less one ulp
+_FLOOR = 0.39999999999999997
+
+
+def _floor_rows():
+    """The grid covectors whose residual is exactly 2/5 |lam|^2, decided on
+    integer quadrics."""
+    grid = optimal._integer_grid().astype(np.int64)
+    values = np.array(
+        [
+            sum(int(c) * grid[:, i] * grid[:, j] for (i, j), c in quadric.items())
+            for quadric in frobenius_quadrics().values()
+        ]
+    )
+    exact = 5 * np.abs(values).max(axis=0) == 2 * (grid * grid).sum(axis=1)
+    return grid[exact].astype(float)
+
+
+def _skips_soundly(kernel, n, bounds):
+    """Assert that every bound under which the kernel skips raw[:n] lies below
+    each full residual of those rows; return the bounds that skipped."""
+    lowest = kernel(n)[1].min()
+    skipped = [bound for bound in bounds if kernel(n, bound) is None]
+    assert all(lowest > bound for bound in skipped)
+    return skipped
+
+
+def test_diagonal_quadrics_are_the_four_sums_of_squares():
+    table = frobenius_quadrics()
+    assert {t: q for t, q in table.items() if all(i == j for i, j in q)} == _DIAGONAL
+
+
+@given(rational_covectors)
+def test_diagonal_quadrics_bound_the_residual_by_two_fifths(lam):
+    table = frobenius_quadrics()
+    q = {t: _evaluate(table[t], lam) for t in _DIAGONAL}
+    assert q[(0, 1, 5)] - q[(0, 2, 4)] + q[(1, 2, 3)] == 2 * (lam[0] ** 2 + lam[1] ** 2 + lam[2] ** 2)
+    assert q[(3, 4, 5)] == lam[3] ** 2 + lam[4] ** 2 + lam[5] ** 2
+    # with t = lam_1^2 + lam_2^2 + lam_3^2, max(2t/3, |lam|^2 - t) >= 2/5 |lam|^2
+    assert 5 * max(abs(v) for v in q.values()) >= 2 * sum(l * l for l in lam)
+
+
+def test_grid_reaches_the_two_fifths_floor():
+    rows = _floor_rows()
+    assert len(rows) == 192
+    assert [-2, -2, -2, -2, -2, 0] in rows.tolist()
+    assert set(_kernel_residuals(rows)) == {_FLOOR}
+    assert hyperplane_scan(1, 42).min_residual == _FLOOR
+
+
+@pytest.mark.parametrize("perturbation", [0, 1e-15])
+def test_bound_skips_no_block_holding_a_near_floor_row(perturbation):
+    rng = np.random.default_rng(5)
+    near = np.vstack([_floor_rows() * scale for scale in 10.0 ** np.arange(-3, 4)])
+    near *= 1 + perturbation * rng.standard_normal(near.shape)
+    rows = np.vstack([near, rng.standard_normal((2000, 6))])
+    rng.shuffle(rows)
+    kernel = _ResidualKernel()
+    kernel.raw[: len(rows)] = rows
+    offsets = [-1e-9, -1e-11, -2e-12, -1e-12, -5e-13, -1e-13, -1e-15, 0, 1e-15, 1e-13, 1e-12, 1e-9]
+    bounds = [_FLOOR * (1 + d) for d in offsets] + [np.nextafter(_FLOOR, 0), np.nextafter(_FLOOR, 1)]
+    # bounds at least the margin below the floor skip the block, the rest do not
+    skipped = _skips_soundly(kernel, len(rows), bounds)
+    assert skipped == [b for b in bounds if b <= _FLOOR * (1 - 1e-12)]
+    assert len(skipped) == 4
+
+
+@seed(13)
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3000),
+    st.integers(0, 3),
+    st.floats(min_value=0.39, max_value=0.7),
+)
+def test_bound_skips_only_blocks_above_it(draw_seed, n, floor_rows, bound):
+    rng = np.random.default_rng(draw_seed)
+    rows = rng.standard_normal((n, 6)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    floor = _floor_rows()
+    rows[rng.integers(n, size=floor_rows)] = floor[rng.integers(len(floor), size=floor_rows)]
+    kernel = _ResidualKernel()
+    kernel.raw[:n] = rows
+    _skips_soundly(kernel, n, [bound])
+
+
+@pytest.mark.parametrize("samples, seed", [(60007, 7), (20001, 42)])
+def test_bounded_scan_equals_the_reference_at_every_threshold(samples, seed):
+    for threshold in (-1.0, 1e-6, 0.3, np.nextafter(_FLOOR, 0), _FLOOR, 0.4, 0.45, 0.6, 0.9):
+        scan = hyperplane_scan(samples, seed, threshold=threshold)
+        min_residual, witness = _reference_scan(samples, seed, threshold)
+        assert scan.min_residual == min_residual
+        assert (scan.found is None) == (witness is None)
+        if witness is not None:
+            generators = np.array([g.as_array() for g in scan.found.generators])
+            assert np.array_equal(generators, _hyperplane_basis(witness))
