@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ class TrigPoly(SparsePoly):
         return float(total) if scalar else total
 
 
-@dataclass(frozen=True)
-class TrigPolyMatrix:
+class TrigPolyMatrix(NamedTuple):
     """6x6 matrix of TrigPoly entries, row-convention as described above."""
 
     entries: Tuple[Tuple[TrigPoly, ...], ...]
@@ -139,18 +138,17 @@ def adjoint_closed_form(i: int) -> TrigPolyMatrix:
     if i <= 3:
         if ad3_int.any():
             raise AssertionError("translation generator is not nilpotent of order 3")
-        s = TrigPoly.symbol("s")
-        entry = lambda r, c: TrigPoly.constant(int(r == c)) - s * ad[r][c] + (
-            s * s * Fraction(1, 2)
-        ) * ad2[r][c]
+        # 1 - s ad + (s^2 / 2) ad^2, keyed by exponents of (s, C, S)
+        entry = lambda r, c: TrigPoly(
+            {(0, 0, 0): int(r == c), (1, 0, 0): -ad[r][c], (2, 0, 0): Fraction(ad2[r][c], 2)}
+        )
     else:
         if (ad3_int != -ad_int).any():
             raise AssertionError("rotation generator does not satisfy ad^3 = -ad")
-        sin = TrigPoly.symbol("S")
-        one_minus_cos = TrigPoly.constant(1) - TrigPoly.symbol("C")
-        entry = lambda r, c: TrigPoly.constant(int(r == c)) - sin * ad[r][c] + (
-            one_minus_cos
-        ) * ad2[r][c]
+        # 1 - S ad + (1 - C) ad^2
+        entry = lambda r, c: TrigPoly(
+            {(0, 0, 0): int(r == c) + ad2[r][c], (0, 0, 1): -ad[r][c], (0, 1, 0): -ad2[r][c]}
+        )
     # exp(-s ad) has images in columns; transpose to the row convention.
     rows = tuple(tuple(entry(c, r) for c in range(DIM)) for r in range(DIM))
     return TrigPolyMatrix(rows)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -174,8 +174,7 @@ def _cross(a, b):
     )
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(NamedTuple):
     """Tensor c with [X_i, X_j] = sum_k c[i][j][k] X_k (indices 0-based).
 
     Single source of truth for every bracket in the package.
@@ -190,19 +189,20 @@ class StructureConstants:
         For elements written as pairs (v, w) the bracket is
         [(v, w), (v', w')] = (v' x w - v x w', -w x w').
         """
+        # the constants are integers: work on ints, store Fractions
         tensor = []
         for i in range(DIM):
-            vi = tuple(Fraction(1) if i == t else Fraction(0) for t in range(3))
-            wi = tuple(Fraction(1) if i - 3 == t else Fraction(0) for t in range(3))
+            vi = tuple(int(i == t) for t in range(3))
+            wi = tuple(int(i - 3 == t) for t in range(3))
             row = []
             for j in range(DIM):
-                vj = tuple(Fraction(1) if j == t else Fraction(0) for t in range(3))
-                wj = tuple(Fraction(1) if j - 3 == t else Fraction(0) for t in range(3))
+                vj = tuple(int(j == t) for t in range(3))
+                wj = tuple(int(j - 3 == t) for t in range(3))
                 v_part = tuple(
                     a - b for a, b in zip(_cross(vj, wi), _cross(vi, wj))
                 )
                 w_part = tuple(-t for t in _cross(wi, wj))
-                row.append(v_part + w_part)
+                row.append(tuple(map(Fraction, v_part + w_part)))
             tensor.append(tuple(row))
         return cls(tuple(tensor))
 
@@ -306,15 +306,13 @@ def in_span(x: AlgebraElement, basis: SubalgebraBasis) -> Optional[Tuple[Scalar,
     return None if coords is None else tuple(coords)
 
 
-@dataclass(frozen=True)
-class ClosureWitness:
+class ClosureWitness(NamedTuple):
     i: int
     j: int
     value: AlgebraElement
 
 
-@dataclass(frozen=True)
-class ClosureVerdict:
+class ClosureVerdict(NamedTuple):
     closed: bool
     witness: Optional[ClosureWitness] = None
 

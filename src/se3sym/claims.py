@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -65,15 +64,13 @@ CONFIRMED = "confirmed"
 DISCREPANCY = "discrepancy"
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     claim_id: str
     status: str
     evidence: Dict
 
 
-@dataclass(frozen=True)
-class ClaimsReport:
+class ClaimsReport(NamedTuple):
     claims: Tuple[Claim, ...]
     seed: int
     samples: int
@@ -169,23 +166,21 @@ PUBLISHED_GENERATOR_FAMILY = (
 )
 
 
-def _token_to_trig(token: str) -> TrigPoly:
-    table = {
-        "1": TrigPoly.constant(1),
-        "s": TrigPoly.symbol("s"),
-        "-s": -TrigPoly.symbol("s"),
-        "C": TrigPoly.symbol("C"),
-        "S": TrigPoly.symbol("S"),
-        "-S": -TrigPoly.symbol("S"),
-    }
-    return table[token]
+_TOKEN_TRIG: Dict[str, TrigPoly] = {
+    "1": TrigPoly.constant(1),
+    "s": TrigPoly.symbol("s"),
+    "-s": -TrigPoly.symbol("s"),
+    "C": TrigPoly.symbol("C"),
+    "S": TrigPoly.symbol("S"),
+    "-S": -TrigPoly.symbol("S"),
+}
 
 
 def published_adjoint_matrix(i: int) -> Tuple[Tuple[TrigPoly, ...], ...]:
     tokens = PUBLISHED_ADJOINT_TOKENS[i]
     return tuple(
         tuple(
-            _token_to_trig(tokens[(r, c)]) if (r, c) in tokens else TrigPoly()
+            _TOKEN_TRIG[tokens[(r, c)]] if (r, c) in tokens else TrigPoly()
             for c in range(1, DIM + 1)
         )
         for r in range(1, DIM + 1)

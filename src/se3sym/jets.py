@@ -200,13 +200,13 @@ def _parse_polynomial(text: str) -> JetPolynomial:
             if not expect_factor and (token.isdigit() or token in _INDEX):
                 raise ValueError(f"missing '*' before {token!r} in polynomial text")
             if token.isdigit():
-                value = Fraction(int(token))
+                value = int(token)
                 if idx + 2 < len(tokens) and tokens[idx + 1] == "/" and tokens[idx + 2].isdigit():
                     if int(tokens[idx + 2]) == 0:
                         raise ValueError(f"zero denominator in {token}/{tokens[idx + 2]}")
                     value = Fraction(int(token), int(tokens[idx + 2]))
                     idx += 2
-                term = term * JetPolynomial.constant(value)
+                term = term * value
                 idx += 1
                 expect_factor = False
                 continue
@@ -224,17 +224,17 @@ def _parse_polynomial(text: str) -> JetPolynomial:
             raise ValueError("polynomial text ends a term without a factor")
         return term, idx
 
-    sign = Fraction(1)
+    sign = 1
     while pos < len(tokens):
         if tokens[pos] == "+":
-            sign = Fraction(1)
+            sign = 1
             pos += 1
         elif tokens[pos] == "-":
-            sign = Fraction(-1)
+            sign = -1
             pos += 1
         term, pos = parse_term(pos)
-        result = result + JetPolynomial.constant(sign) * term
-        sign = Fraction(1)
+        result = result + sign * term
+        sign = 1
     return result
 
 
@@ -316,8 +316,7 @@ def dilation_field() -> PointVectorField:
     return PointVectorField(x, y, z, JetPolynomial.zero())
 
 
-@dataclass(frozen=True)
-class Prolongation:
+class Prolongation(NamedTuple):
     """The nine lifted coefficients of a second prolongation."""
 
     phi_x: JetPolynomial
@@ -464,8 +463,7 @@ def _space_monomials(max_degree: int) -> List[Monomial]:
     return monos
 
 
-@dataclass(frozen=True)
-class PhiSolutionSpace:
+class PhiSolutionSpace(NamedTuple):
     """Affine space of admissible phi = g*u + h for a fixed xi.
 
     particular carries the free coefficients set to zero; basis spans the
@@ -606,8 +604,8 @@ def solve_phi_for_xi(
     nmono = len(monomials)
 
     def unpack(vec) -> Tuple[JetPolynomial, JetPolynomial]:
-        g = JetPolynomial({monomials[i]: vec[i] for i in range(nmono)})
-        h = JetPolynomial({monomials[i]: vec[nmono + i] for i in range(nmono)})
+        g = JetPolynomial({m: c for m, c in zip(monomials, vec[:nmono]) if c})
+        h = JetPolynomial({m: c for m, c in zip(monomials, vec[nmono:]) if c})
         return g, h
 
     return PhiSolutionSpace(unpack(particular), tuple(unpack(v) for v in system.nullspace))

@@ -18,9 +18,8 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,8 +60,7 @@ CASE_ALLOWED: Dict[str, Tuple[int, ...]] = {
 CASES_WITH_A = frozenset({"A15", "A16", "A17"})
 
 
-@dataclass(frozen=True)
-class ScrewForm:
+class ScrewForm(NamedTuple):
     """Canonical screw data of a nonzero element.
 
     kind "screw" canonicalizes to X_6 + pitch*X_3 (unit rotation part),
@@ -81,8 +79,7 @@ class ScrewForm:
         return AlgebraElement.numeric([0, 0, self.pitch, 0, 0, 1])
 
 
-@dataclass(frozen=True)
-class OneDimRepresentative:
+class OneDimRepresentative(NamedTuple):
     """Result of the seven-case normalization of a nonzero element."""
 
     case_tag: str
@@ -94,8 +91,7 @@ class OneDimRepresentative:
     representative: AlgebraElement
 
 
-@dataclass(frozen=True)
-class OneDimBatch:
+class OneDimBatch(NamedTuple):
     """The seven-case normalization of many elements, held as arrays.
 
     Row i of every array belongs to row i of the input; a is NaN where the
@@ -475,8 +471,7 @@ def unit_proportionality(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubalgebraVerdict:
+class SubalgebraVerdict(NamedTuple):
     case: str
     a: Optional[Fraction]
     independent: bool
@@ -529,8 +524,7 @@ def verify_2d_list(a_grid: Sequence) -> List[SubalgebraVerdict]:
     return out
 
 
-@dataclass(frozen=True)
-class TableVerdict:
+class TableVerdict(NamedTuple):
     case: str
     a: Optional[Fraction]
     independent: bool
@@ -558,8 +552,7 @@ def verify_3d_4d(a_grid: Sequence) -> List[TableVerdict]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HyperplaneScan:
+class HyperplaneScan(NamedTuple):
     grid_points: int
     random_samples: int
     min_residual: float
@@ -766,8 +759,7 @@ _CERTIFICATE_TARGETS = {
 }
 
 
-@dataclass(frozen=True)
-class HyperplaneCertificate:
+class HyperplaneCertificate(NamedTuple):
     """Exact proof that se(3) has no 5-dimensional subalgebra.
 
     combinations[target][triple] is the rational coefficient of the quadric

@@ -1,7 +1,10 @@
 """Sparse polynomials with exact rational coefficients.
 
 A polynomial is a dict from exponent tuples (one entry per name in the
-class's VARIABLES) to nonzero Fractions.  Subclasses name their variables
+class's VARIABLES) to nonzero ints or Fractions: a coefficient enters as an
+int where it is integral, so most arithmetic stays on Python ints.  An
+integral Fraction that arithmetic leaves behind equals, hashes and prints
+as its int, so it is not rewritten.  Subclasses name their variables
 and may rewrite monomials into a normal form by overriding _accumulate;
 everything else - the ring operations, equality, hashing and the printer -
 lives here once.  Printing orders monomials by total degree, then by
@@ -12,10 +15,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 Monomial = Tuple[int, ...]
-Terms = Dict[Monomial, Fraction]
+Coefficient = Union[int, Fraction]
+Terms = Dict[Monomial, Coefficient]
+
+
+def _coefficient(value) -> Coefficient:
+    """value as an int where it is integral, else as a Fraction."""
+    if type(value) is not int:
+        value = value if isinstance(value, Fraction) else Fraction(value)
+        if value.denominator == 1:
+            return value.numerator
+    return value
 
 
 class SparsePoly:
@@ -28,11 +41,11 @@ class SparsePoly:
     def __init__(self, terms: Optional[Terms] = None):
         store: Terms = {}
         for key, value in (terms or {}).items():
-            self._accumulate(store, key, value if isinstance(value, Fraction) else Fraction(value))
+            self._accumulate(store, key, _coefficient(value))
         self.terms = {k: v for k, v in store.items() if v}
 
     @staticmethod
-    def _accumulate(store: Terms, key: Monomial, value: Fraction) -> None:
+    def _accumulate(store: Terms, key: Monomial, value: Coefficient) -> None:
         """Add value * key to store; the hook for a normal-form rewrite."""
         old = store.get(key)
         store[key] = value if old is None else old + value
@@ -52,14 +65,14 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, value):
-        return cls({(0,) * len(cls.VARIABLES): Fraction(value)})
+        return cls._canonical({(0,) * len(cls.VARIABLES): _coefficient(value)})
 
     @classmethod
     def variable(cls, name: str):
         key = tuple(int(v == name) for v in cls.VARIABLES)
         if 1 not in key:
             raise KeyError(name)
-        return cls({key: Fraction(1)})
+        return cls._canonical({key: 1})
 
     @classmethod
     def coerce(cls, value):
@@ -67,9 +80,18 @@ class SparsePoly:
 
     # -- ring structure ----------------------------------------------------
 
-    def __add__(self, other):
+    def _shift(self, value: Coefficient):
+        """self + value for a number value."""
+        key = (0,) * len(self.VARIABLES)
         merged = dict(self.terms)
-        for key, value in self.coerce(other).terms.items():
+        merged[key] = merged.get(key, 0) + value
+        return self._canonical(merged)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return self._shift(_coefficient(other))
+        merged = dict(self.terms)
+        for key, value in other.terms.items():
             old = merged.get(key)
             merged[key] = value if old is None else old + value
         return self._canonical(merged)
@@ -80,17 +102,32 @@ class SparsePoly:
         return self._canonical({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self.coerce(other))
+        if not isinstance(other, type(self)):
+            return self._shift(-_coefficient(other))
+        merged = dict(self.terms)
+        for key, value in other.terms.items():
+            old = merged.get(key)
+            merged[key] = -value if old is None else old - value
+        return self._canonical(merged)
 
     def __rsub__(self, other):
-        return self.coerce(other) + (-self)
+        return (-self)._shift(_coefficient(other))
 
     def __mul__(self, other):
-        other = self.coerce(other)
+        if not isinstance(other, type(self)):
+            value = _coefficient(other)
+            return self._canonical({k: v * value for k, v in self.terms.items()})
         prod: Terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                self._accumulate(prod, tuple(map(add, m1, m2)), c1 * c2)
+        if type(self)._accumulate is SparsePoly._accumulate:
+            for m1, c1 in self.terms.items():
+                for m2, c2 in other.terms.items():
+                    key = tuple(map(add, m1, m2))
+                    old = prod.get(key)
+                    prod[key] = c1 * c2 if old is None else old + c1 * c2
+        else:
+            for m1, c1 in self.terms.items():
+                for m2, c2 in other.terms.items():
+                    self._accumulate(prod, tuple(map(add, m1, m2)), c1 * c2)
         return self._canonical(prod)
 
     __rmul__ = __mul__

@@ -12,8 +12,7 @@ step, so everything is deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,8 +35,7 @@ class FlowError(ArithmeticError):
     """The flow integration produced a non-finite state."""
 
 
-@dataclass(frozen=True)
-class SourceTerm:
+class SourceTerm(NamedTuple):
     """Right-hand side family f(u)."""
 
     kind: str  # zero | constant | linear
@@ -59,8 +57,7 @@ class SourceTerm:
         return u if self.kind == "linear" else self.value
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(NamedTuple):
     """Candidate solution u = h(x, y, z) with the source family it solves;
     the evaluator takes floats or arrays of coordinates."""
 
@@ -95,8 +92,7 @@ def builtin_fields() -> Dict[str, ScalarField]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowResult:
+class FlowResult(NamedTuple):
     """End state of one flow, or of a batch of flows.
 
     ``endpoint`` is the point (x, y, z) for a single flow and an (m, 3)
@@ -315,8 +311,7 @@ FLOW_BOUND = 1e-8
 CONVERGENCE_RANGE = (3.5, 4.5)
 
 
-@dataclass(frozen=True)
-class SolutionChecks:
+class SolutionChecks(NamedTuple):
     """Residuals of the transported solutions, flow error and convergence."""
 
     residuals: Dict[str, Dict[int, float]]  # family -> generator -> max |residual|

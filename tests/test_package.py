@@ -1,7 +1,10 @@
 """The package as a process sees it: `import se3sym` loads nothing until a
 name is used, and a CLI process runs numpy's BLAS on one thread unless the
-caller chose otherwise, with the same answers either way."""
+caller chose otherwise, with the same answers either way.  Plain records are
+NamedTuples, so importing the package runs no generated dataclass code."""
 
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -83,3 +86,54 @@ def test_claims_report_does_not_depend_on_blas_threads():
     # exit status 1: the report grades some published claims as discrepant
     args = ("-m", "se3sym", "check-claims", "--samples", "2000", "--seed", "42")
     assert _python(*args, threads="2", status=1) == _python(*args, status=1)
+
+
+
+LAYERS = ("adjoint", "algebra", "claims", "cli", "jets", "linalg", "optimal", "poly", "solutions")
+
+RECORDS = {
+    "Claim", "ClaimsReport", "ClosureVerdict", "ClosureWitness", "FlowResult",
+    "HyperplaneCertificate", "HyperplaneScan", "OneDimBatch", "OneDimRepresentative",
+    "PhiSolutionSpace", "Prolongation", "ScalarField", "ScrewForm", "SolutionChecks",
+    "SourceTerm", "StructureConstants", "SubalgebraVerdict", "TableVerdict", "TrigPolyMatrix",
+}  # fmt: skip
+
+
+def _classes():
+    for layer in LAYERS:
+        module = importlib.import_module(f"se3sym.{layer}")
+        for obj in vars(module).values():
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                yield obj
+
+
+def test_only_validated_classes_are_dataclasses():
+    # a dataclass execs generated methods at import; plain records are
+    # NamedTuples, and a dataclass is kept only where __post_init__ validates
+    dataclasses = [cls for cls in _classes() if "__dataclass_fields__" in vars(cls)]
+    assert {cls.__name__ for cls in dataclasses} == {
+        "AdjointWord", "AlgebraElement", "PointVectorField", "SubalgebraBasis",
+    }
+    for cls in dataclasses:
+        assert "__post_init__" in vars(cls), cls.__qualname__
+    named_tuples = {cls.__name__ for cls in _classes() if issubclass(cls, tuple)}
+    assert RECORDS <= named_tuples
+
+
+def test_records_are_immutable_and_compare_by_value():
+    from se3sym.algebra import X1, X2, ClosureVerdict, ClosureWitness
+    from se3sym.optimal import HyperplaneScan
+
+    cases = [
+        (ClosureVerdict(False, ClosureWitness(0, 4, X1)), ClosureVerdict(False, ClosureWitness(0, 4, X1)),
+         ClosureVerdict(False, ClosureWitness(0, 4, X2))),
+        (HyperplaneScan(5, 7, 0.25, None), HyperplaneScan(5, 7, 0.25, None),
+         HyperplaneScan(5, 7, 0.5, None)),
+    ]  # fmt: skip
+    for record, same, other in cases:
+        assert record == same and hash(record) == hash(same)
+        assert record != other
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
