@@ -50,13 +50,16 @@ class TrigPoly(SparsePoly):
 
     def evaluate(self, sigma):
         """Value at one parameter (a float) or at each of an array of them."""
-        scalar = np.ndim(sigma) == 0
         sigma = np.asarray(sigma, dtype=float)
-        c, s = np.cos(sigma), np.sin(sigma)
+        total = self._at(sigma, np.cos(sigma), np.sin(sigma))
+        return float(total) if sigma.ndim == 0 else total
+
+    def _at(self, sigma: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Value at the parameters sigma, given c = cos(sigma), s = sin(sigma)."""
         total = np.zeros_like(sigma)
         for (es, ec, esin), value in self.terms.items():
             total += float(value) * sigma**es * c**ec * s**esin
-        return float(total) if scalar else total
+        return total
 
 
 class TrigPolyMatrix(NamedTuple):
@@ -66,7 +69,9 @@ class TrigPolyMatrix(NamedTuple):
 
     def evaluate(self, sigma) -> np.ndarray:
         """The (6, 6) matrix at one parameter, or an (n, 6, 6) stack at n."""
-        values = np.array([[e.evaluate(sigma) for e in row] for row in self.entries], dtype=float)
+        sigma = np.asarray(sigma, dtype=float)
+        c, s = np.cos(sigma), np.sin(sigma)
+        values = np.array([[e._at(sigma, c, s) for e in row] for row in self.entries])
         return np.moveaxis(values, (0, 1), (-2, -1))
 
     def apply_rows(self, coeffs: Sequence) -> Tuple[TrigPoly, ...]:

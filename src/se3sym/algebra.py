@@ -223,20 +223,15 @@ _NONZERO = SE3.nonzero_entries()
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Lie bracket [x, y] through the structure constants."""
     _require_same_tower(x, y)
-    if x.tower == "exact":
-        out = [Fraction(0)] * DIM
-    else:
-        out = [0.0] * DIM
+    exact = x.tower == "exact"
+    out = [Fraction(0) if exact else 0.0] * DIM
     xc, yc = x.coeffs, y.coeffs
     for i, j, k, value in _NONZERO:
         xi = xc[i]
         yj = yc[j]
         if xi == 0 or yj == 0:
             continue
-        if x.tower == "exact":
-            out[k] += value * xi * yj
-        else:
-            out[k] += float(value) * xi * yj
+        out[k] += (value if exact else float(value)) * xi * yj
     return AlgebraElement(tuple(out))
 
 

@@ -56,7 +56,6 @@ from .optimal import (
     verify_2d_list,
     verify_3d_4d,
     _published_recipe,
-    _case_tag,
 )
 from .solutions import RESIDUAL_BOUND, check_solutions
 
@@ -393,7 +392,7 @@ def _claim_one_dim(seed: int) -> Claim:
     _, sweep = gaussian_sweep(np.random.default_rng(seed), 2000)
     # the printed recipe for the open two-translation case, applied verbatim
     sample = AlgebraElement.numeric([1.0, 0.0, 0.0, 3.0, 1.0, 2.0])
-    recipe = _published_recipe(_case_tag(sample.coeffs), sample.coeffs)
+    recipe = _published_recipe(sample.coeffs)
     after = apply_word(recipe, sample)
     recipe_residual = max(abs(after.coeffs[i - 1]) for i in (2, 3, 5, 6))
     rep = classify_1d_paper(sample)

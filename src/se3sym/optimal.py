@@ -248,12 +248,8 @@ def canonicalize_screw(x: AlgebraElement) -> ScrewForm:
 _TAG_BY_PATTERN = ("A11", "A12", "A13", "A15", "A14", "A16", "A17", "A15")
 
 
-def _case_tag(coords: Sequence) -> str:
-    return _TAG_BY_PATTERN[sum(1 << k for k in range(3) if coords[k] != 0)]
-
-
 def _case_tags(coords: np.ndarray) -> np.ndarray:
-    """_case_tag of every row."""
+    """The case tag of every row."""
     return np.array(_TAG_BY_PATTERN)[(coords[:, :3] != 0) @ np.array([1, 2, 4])]
 
 
@@ -288,9 +284,11 @@ def _recipe(tag: str, coords: np.ndarray):
     return defined, steps
 
 
-def _published_recipe(tag: str, coords: Sequence[float]) -> Optional[AdjointWord]:
-    """The published recipe of tag as a word, or None where it is ill-defined."""
-    defined, steps = _recipe(tag, np.asarray(coords, dtype=float))
+def _published_recipe(coords: Sequence[float]) -> Optional[AdjointWord]:
+    """The published recipe of the case of coords as a word, or None where it
+    is ill-defined."""
+    coords = np.asarray(coords, dtype=float)
+    defined, steps = _recipe(str(_case_tags(coords[None])[0]), coords)
     return _word(steps) if defined else None
 
 
@@ -590,94 +588,35 @@ def frobenius_quadrics() -> Dict[Tuple[int, int, int], Quadric]:
 _CHUNK = 20000
 
 
-_ResidualPlan = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[Tuple[int, bool], ...], ...]]
+def _residuals(lam: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows of lam normalized, and max |lam ^ dlam| of each.
 
-
-@functools.lru_cache(maxsize=None)
-def _residual_plan() -> _ResidualPlan:
-    """The monomials lam_i*lam_j of the quadrics, the squares lam_k^2 first,
-    and each quadric as steps (monomial index, subtract) in its term order.
-
-    Every coefficient is +-1, so float(c)*lam_i*lam_j is +-(lam_i*lam_j)
-    exactly and a quadric is its monomials added or subtracted.  A quadric
-    whose first coefficient is -1 is summed negated, which its absolute value
-    does not see: rounding to nearest is symmetric in sign.
+    |lam|^2 is summed coordinate by coordinate, the order np.linalg.norm
+    takes along a row.  Every quadric coefficient is +-1, so each term
+    float(c) * (lam_i * lam_j) is exact and a quadric is its products added
+    in term order.
     """
-    quadrics = frobenius_quadrics().values()
-    if any(abs(c) != 1 for quadric in quadrics for c in quadric.values()):
-        raise ArithmeticError("the residual kernel needs quadric coefficients of +-1")
-    monomials = sorted(
-        {key for quadric in quadrics for key in quadric}, key=lambda m: (m[0] != m[1], m)
-    )
-    if monomials[:DIM] != [(k, k) for k in range(DIM)]:
-        raise ArithmeticError("the residual kernel needs every square lam_k^2")
-    plans = []
-    for quadric in quadrics:
-        first = next(iter(quadric.values()))
-        plans.append(tuple((monomials.index(key), c != first) for key, c in quadric.items()))
-    return tuple(monomials), tuple(plans)
+    coords = np.ascontiguousarray(lam.T)
+    coords = coords / np.sqrt(sum(np.square(coords)))
+    residual = np.zeros(len(lam))
+    for quadric in frobenius_quadrics().values():
+        q = sum(float(c) * (coords[i] * coords[j]) for (i, j), c in quadric.items())
+        np.maximum(residual, np.abs(q), out=residual)
+    return coords.T, residual
 
 
-class _ResidualKernel:
-    """max |lam ^ dlam| of up to _CHUNK covectors at a time, in buffers
-    allocated once.
+def _floor(lam: np.ndarray) -> np.ndarray:
+    """Each row's largest diagonal quadric over |lam|^2: a lower bound on its
+    residual.
 
-    Every step writes into those buffers, so a scan allocates nothing per
-    block: a fresh page costs a fault, which on a block of this size costs
-    more than the arithmetic done on it.
+    The four quadrics made of squares alone are lam_1^2 + lam_2^2,
+    -(lam_1^2 + lam_3^2), lam_2^2 + lam_3^2 and lam_4^2 + lam_5^2 + lam_6^2.
+    Taken from raw squares, the quotient differs from the same quadric of
+    the rounded unit row by ~20 ulp, far inside the scan's 1e-12 margin.
     """
-
-    def __init__(self) -> None:
-        self.monomials, self.plans = _residual_plan()
-        # the quadrics made of squares alone, monomials 0..5
-        self.diagonal = [plan for plan in self.plans if all(m < DIM for m, _ in plan)]
-        self.raw = np.empty((_CHUNK, DIM))
-        self.unit = np.empty((DIM, _CHUNK))
-        self.products = np.empty((len(self.monomials), _CHUNK))
-        self.term = np.empty(_CHUNK)
-        self.residual = np.empty(_CHUNK)
-
-    def __call__(self, n: int, bound: Optional[float] = None) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Normalize the first n rows of raw; return the unit covectors,
-        coordinate-major with shape (6, n), and the residual of each.
-
-        Both are views of the buffers, overwritten by the next call.  Given a
-        bound, return None instead when every residual exceeds it.
-        """
-        raw, unit, products = self.raw[:n], self.unit[:, :n], self.products[:, :n]
-        term, residual = self.term[:n], self.residual[:n]
-        # raw_k^2 in rows 0..5 of products (those of lam_k^2), and |lam|^2 summed
-        # from them coordinate by coordinate, the order np.linalg.norm takes
-        # along a row; residual holds |lam| until the quadrics need it
-        np.multiply(raw.T, raw.T, out=products[:DIM])
-        np.add.reduce(products[:DIM], axis=0, out=residual)
-        if bound is not None:
-            # the diagonal quadrics bound the residual from below.  From raw
-            # squares over |lam|^2 they differ from the kernel's own, taken of
-            # rounded unit coordinates, by ~20 ulp, far inside the 1e-12 margin
-            self._max_abs(self.diagonal, products, unit[0], term)
-            np.divide(unit[0], residual, out=unit[0])
-            if unit[0].min() > bound * (1 + 1e-12):
-                return None
-        np.sqrt(residual, out=residual)
-        np.divide(raw.T, residual, out=unit)
-        for product, (i, j) in zip(products, self.monomials):
-            np.multiply(unit[i], unit[j], out=product)
-        self._max_abs(self.plans, products, residual, term)
-        return unit, residual
-
-    @staticmethod
-    def _max_abs(plans, products: np.ndarray, out: np.ndarray, term: np.ndarray) -> None:
-        """out = max |q| over the quadrics of plans, summed from products."""
-        for q, ((first, _), *steps) in enumerate(plans):
-            value = out if q == 0 else term
-            source = products[first]
-            for k, subtract in steps:
-                (np.subtract if subtract else np.add)(source, products[k], out=value)
-                source = value
-            np.abs(source, out=value)
-            if q:
-                np.maximum(out, value, out=out)
+    a, b, c, d, e, f = np.square(lam.T)
+    largest = np.maximum(np.maximum(a + b, a + c), np.maximum(b + c, d + e + f))
+    return largest / (a + b + c + d + e + f)
 
 
 def _hyperplane_basis(lam: np.ndarray) -> np.ndarray:
@@ -704,27 +643,6 @@ def _integer_grid() -> np.ndarray:
     return grid
 
 
-def _residual_blocks(samples: int, seed: int, bound=lambda: None):
-    """The integer grid, then seeded random covectors, _CHUNK rows at a time,
-    each block as the (unit, residual) views of one _ResidualKernel, or None
-    where every residual exceeds bound(), read as the block comes due.
-
-    Drawing block by block reads the same default_rng stream as drawing all
-    samples at once, so the covectors do not depend on the block size.
-    """
-    kernel = _ResidualKernel()
-    grid = _integer_grid()
-    for start in range(0, len(grid), _CHUNK):
-        block = grid[start : start + _CHUNK]
-        kernel.raw[: len(block)] = block
-        yield kernel(len(block), bound())
-    rng = np.random.default_rng(seed)
-    for start in range(0, samples, _CHUNK):
-        n = min(_CHUNK, samples - start)
-        rng.standard_normal(out=kernel.raw[:n])
-        yield kernel(n, bound())
-
-
 def hyperplane_scan(samples: int, seed: int, threshold: float = 1e-6) -> HyperplaneScan:
     """Scan the deterministic grid plus random unit covectors for a closed
     5-dimensional subalgebra (a falsification search; hyperplane_certificate
@@ -734,18 +652,26 @@ def hyperplane_scan(samples: int, seed: int, threshold: float = 1e-6) -> Hyperpl
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    grid = _integer_grid()
+    # drawing block by block reads the same default_rng stream as drawing
+    # all samples at once, so the covectors do not depend on the block size
+    rng = np.random.default_rng(seed)
+    sizes = (min(_CHUNK, samples - start) for start in range(0, samples, _CHUNK))
+    draws = (rng.standard_normal((n, DIM)) for n in sizes)
     min_residual = math.inf
     found = None
-    # a block whose residuals all exceed both the minimum so far and the
-    # threshold can neither lower the one nor hold a witness for the other
-    blocks = _residual_blocks(samples, seed, lambda: max(min_residual, threshold))
-    for unit, residuals in filter(None, blocks):
+    for lam in itertools.chain([grid], draws):
+        # a block whose residuals all exceed both the minimum so far and the
+        # threshold can neither lower the one nor hold a witness for the other
+        if _floor(lam).min() > max(min_residual, threshold) * (1 + 1e-12):
+            continue
+        unit, residuals = _residuals(lam)
         best = int(np.argmin(residuals))
         min_residual = min(min_residual, float(residuals[best]))
         if found is None and residuals[best] <= threshold:
-            rows = _hyperplane_basis(unit[:, best])
+            rows = _hyperplane_basis(unit[best])
             found = SubalgebraBasis(tuple(AlgebraElement.numeric(row) for row in rows))
-    return HyperplaneScan(len(_integer_grid()), samples, min_residual, found)
+    return HyperplaneScan(len(grid), samples, min_residual, found)
 
 
 _MONOMIALS = tuple(itertools.combinations_with_replacement(range(DIM), 2))

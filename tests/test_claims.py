@@ -191,3 +191,15 @@ def test_default_report_matches_the_golden():
     for the fields that moved."""
     got = json.loads(claims_report(samples=100000, seed=42).to_json())
     _assert_matches_golden(got, json.loads(GOLDEN.read_text()))
+
+
+def test_million_sample_report_differs_from_the_golden_only_in_its_counts():
+    """At 10^6 draws the diagonal bound skips every block of draws after the
+    grid, so the report equals the default one but for the two counts."""
+    got = json.loads(claims_report(samples=1_000_000, seed=42).to_json())
+    want = json.loads(GOLDEN.read_text())
+    for report, samples in ((got, 1_000_000), (want, 100_000)):
+        assert report.pop("samples") == samples
+        evidence = [c["evidence"] for c in report["claims"] if "random_samples" in c["evidence"]]
+        assert [e.pop("random_samples") for e in evidence] == [samples]
+    _assert_matches_golden(got, want)

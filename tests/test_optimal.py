@@ -34,9 +34,9 @@ from se3sym.optimal import (
     classify_1d_paper,
     equivalence_search,
     _CHUNK,
-    _ResidualKernel,
+    _floor,
     _hyperplane_basis,
-    _residual_blocks,
+    _residuals,
     frobenius_quadrics,
     hyperplane_certificate,
     hyperplane_scan,
@@ -550,7 +550,7 @@ def test_targeted_hyperplanes_fail_closure():
 def _reference_residuals(lams):
     """max |lam ^ dlam| of each row, every quadric summed as a stack of
     coefficient-times-monomial products: the reference that the scan's
-    kernel equals bit for bit."""
+    residuals equal bit for bit."""
     coords = np.ascontiguousarray(lams.T)
     values = np.array(
         [
@@ -587,20 +587,20 @@ def _reference_scan(samples, seed, threshold):
     return residuals.min(), None
 
 
-def _kernel_blocks(samples, seed):
-    """Unit covectors (one per row) and residuals of every block of a scan."""
-    units, residuals = [], []
-    for unit, residual in _residual_blocks(samples, seed):
-        units.append(unit.T.copy())
-        residuals.append(residual.copy())
-    return units, residuals
+def _scan_blocks(monkeypatch, samples, seed):
+    """Unit covectors (one per row) and residuals of every block that
+    hyperplane_scan(samples, seed) bounds, skipped or not."""
+    blocks = []
 
+    def recording_floor(lam):
+        blocks.append(lam.copy())
+        return _floor(lam)
 
-def _kernel_residuals(lams):
-    """Residuals of the rows of lams, normalized, through one kernel call."""
-    kernel = _ResidualKernel()
-    kernel.raw[: len(lams)] = lams
-    return kernel(len(lams))[1].copy()
+    with monkeypatch.context() as patch:
+        patch.setattr(optimal, "_floor", recording_floor)
+        hyperplane_scan(samples, seed)
+    units, residuals = zip(*map(_residuals, blocks))
+    return list(units), list(residuals)
 
 
 def test_hyperplane_scan_finds_nothing_small():
@@ -623,15 +623,15 @@ def test_hyperplane_scan_rejects_non_integer_counts_before_any_work(monkeypatch,
     def unreachable(*args):
         raise AssertionError("the scan started")
 
-    monkeypatch.setattr(optimal, "_residual_blocks", unreachable)
+    monkeypatch.setattr(optimal, "_integer_grid", unreachable)
     with pytest.raises(ValueError, match="must be an integer"):
         hyperplane_scan(samples, seed)
 
 
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("samples", [1, 19999, 20000, 20001, 60007])
-def test_kernel_equals_the_reference_bit_for_bit(samples, seed):
-    units, residuals = _kernel_blocks(samples, seed)
+def test_kernel_equals_the_reference_bit_for_bit(monkeypatch, samples, seed):
+    units, residuals = _scan_blocks(monkeypatch, samples, seed)
     assert max(len(block) for block in residuals) <= _CHUNK
     want = _reference_covectors(samples, seed)
     assert np.array_equal(np.vstack(units), want)
@@ -713,10 +713,10 @@ def test_residual_is_max_wedge_through_the_bracket(lam):
     for triple, value in components.items():
         assert _evaluate(table.get(triple, {}), lam) == value
     exact = max(abs(value) for value in components.values())
-    # the kernel normalizes lam, and each quadric is homogeneous of degree 2
+    # the scan normalizes lam, and each quadric is homogeneous of degree 2
     norm_sq = sum(l * l for l in lam)
     assume(norm_sq)
-    residual = _kernel_residuals(np.array([[float(l) for l in lam]]))[0]
+    residual = _residuals(np.array([[float(l) for l in lam]]))[1][0]
     assert abs(residual - float(exact / norm_sq)) <= 1e-12
 
 
@@ -743,12 +743,12 @@ def test_certificate_combinations_reproduce_targets(certificate):
 
 @given(unit_covectors)
 def test_unit_covector_residual_above_floor(certificate, lam):
-    assert _kernel_residuals(lam[None, :])[0] >= float(certificate.residual_floor)
+    assert _residuals(lam[None, :])[1][0] >= float(certificate.residual_floor)
 
 
 @pytest.mark.parametrize("samples", [20001, 40000])
-def test_chunked_drawing_matches_one_batch(samples):
-    units, _ = _kernel_blocks(samples, 42)
+def test_chunked_drawing_matches_one_batch(monkeypatch, samples):
+    units, _ = _scan_blocks(monkeypatch, samples, 42)
     assert max(len(block) for block in units) <= 20000
     want = _reference_covectors(samples, 42)
     assert np.array_equal(np.vstack(units), want)
@@ -770,7 +770,7 @@ def test_scan_above_floor_returns_kernel_basis(certificate):
 
 
 # ---------------------------------------------------------------------------
-# the kernel's bound: four diagonal quadrics rule a block out
+# the scan's bound: four diagonal quadrics rule a block out
 # ---------------------------------------------------------------------------
 
 # the quadrics made of squares alone, 0-based triple -> exact coefficients
@@ -780,7 +780,7 @@ _DIAGONAL = {
     (1, 2, 3): {(1, 1): 1, (2, 2): 1},
     (3, 4, 5): {(3, 3): 1, (4, 4): 1, (5, 5): 1},
 }
-# the kernel's residual of the floor rows: 2/5 less one ulp
+# the residual of the floor rows: 2/5 less one ulp
 _FLOOR = 0.39999999999999997
 
 
@@ -798,11 +798,11 @@ def _floor_rows():
     return grid[exact].astype(float)
 
 
-def _skips_soundly(kernel, n, bounds):
-    """Assert that every bound under which the kernel skips raw[:n] lies below
-    each full residual of those rows; return the bounds that skipped."""
-    lowest = kernel(n)[1].min()
-    skipped = [bound for bound in bounds if kernel(n, bound) is None]
+def _skips_soundly(rows, bounds):
+    """Assert that every bound under which the scan skips the block rows lies
+    below each full residual of those rows; return the bounds that skipped."""
+    lowest = _residuals(rows)[1].min()
+    skipped = [bound for bound in bounds if _floor(rows).min() > bound * (1 + 1e-12)]
     assert all(lowest > bound for bound in skipped)
     return skipped
 
@@ -810,6 +810,16 @@ def _skips_soundly(kernel, n, bounds):
 def test_diagonal_quadrics_are_the_four_sums_of_squares():
     table = frobenius_quadrics()
     assert {t: q for t, q in table.items() if all(i == j for i, j in q)} == _DIAGONAL
+
+
+def test_floor_is_the_largest_diagonal_quadric_over_the_squared_norm():
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((500, 6)) * 10.0 ** rng.uniform(-3, 3, (500, 1))
+    rows[::7, 0] = 0.0
+    squares = np.square(rows.T)
+    quadrics = [sum(c * squares[i] for (i, _), c in q.items()) for q in _DIAGONAL.values()]
+    want = np.abs(quadrics).max(axis=0) / sum(squares)
+    assert np.array_equal(_floor(rows), want)
 
 
 @given(rational_covectors)
@@ -826,7 +836,7 @@ def test_grid_reaches_the_two_fifths_floor():
     rows = _floor_rows()
     assert len(rows) == 192
     assert [-2, -2, -2, -2, -2, 0] in rows.tolist()
-    assert set(_kernel_residuals(rows)) == {_FLOOR}
+    assert set(_residuals(rows)[1]) == {_FLOOR}
     assert hyperplane_scan(1, 42).min_residual == _FLOOR
 
 
@@ -837,12 +847,10 @@ def test_bound_skips_no_block_holding_a_near_floor_row(perturbation):
     near *= 1 + perturbation * rng.standard_normal(near.shape)
     rows = np.vstack([near, rng.standard_normal((2000, 6))])
     rng.shuffle(rows)
-    kernel = _ResidualKernel()
-    kernel.raw[: len(rows)] = rows
     offsets = [-1e-9, -1e-11, -2e-12, -1e-12, -5e-13, -1e-13, -1e-15, 0, 1e-15, 1e-13, 1e-12, 1e-9]
     bounds = [_FLOOR * (1 + d) for d in offsets] + [np.nextafter(_FLOOR, 0), np.nextafter(_FLOOR, 1)]
     # bounds at least the margin below the floor skip the block, the rest do not
-    skipped = _skips_soundly(kernel, len(rows), bounds)
+    skipped = _skips_soundly(rows, bounds)
     assert skipped == [b for b in bounds if b <= _FLOOR * (1 - 1e-12)]
     assert len(skipped) == 4
 
@@ -860,9 +868,7 @@ def test_bound_skips_only_blocks_above_it(draw_seed, n, floor_rows, bound):
     rows = rng.standard_normal((n, 6)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
     floor = _floor_rows()
     rows[rng.integers(n, size=floor_rows)] = floor[rng.integers(len(floor), size=floor_rows)]
-    kernel = _ResidualKernel()
-    kernel.raw[:n] = rows
-    _skips_soundly(kernel, n, [bound])
+    _skips_soundly(rows, [bound])
 
 
 @pytest.mark.parametrize("samples, seed", [(60007, 7), (20001, 42)])
