@@ -6,11 +6,11 @@ when lam ^ dlam = 0, with dlam(a, b) = -lam([a, b]).  For se(3) that is 19
 quadrics in lam, and the residual of a covector is their largest absolute
 value.  The scan walks a deterministic integer grid plus seeded random unit
 directions and prints the smallest residual (a closed hyperplane would show
-up as a residual near zero), next to the floor of 2/11 that the exact
-certificate proves for every unit covector.  The grid reaches the true
-floor, 2/5; a block of directions whose four diagonal quadrics all lie above
-the smallest residual so far is ruled out without computing its residuals,
-so "covectors per s" counts covectors ruled out or scanned.
+up as a residual near zero), next to the floor of 2/5 that the exact
+certificate proves for every unit covector.  The grid reaches that floor; a
+block of directions whose four diagonal quadrics all lie above the smallest
+residual so far is ruled out without computing its residuals, so
+"covectors per s" counts covectors ruled out or scanned.
 
 Usage: python scripts/hyperplane_scan.py [--samples N] [--seed S]
 """

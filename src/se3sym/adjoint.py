@@ -18,7 +18,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import DIM, SE3, AlgebraElement, bracket, basis_element
+from .algebra import DIM, AlgebraElement, bracket, basis_element
 from .poly import SparsePoly
 
 # ---------------------------------------------------------------------------
@@ -268,23 +268,6 @@ def automorphism_defect(
     lhs = apply_word(word, bracket(x, y))
     rhs = bracket(apply_word(word, x), apply_word(word, y))
     return lhs - rhs
-
-
-def symbolic_automorphism_defect(
-    i: int, x: AlgebraElement, y: AlgebraElement
-) -> Tuple[TrigPoly, ...]:
-    """Defect of a single symbolic step, as TrigPoly coordinates.
-
-    Vanishes identically modulo C^2 + S^2 = 1 because Ad is an automorphism.
-    """
-    matrix = closed_form(i)
-    img_x = matrix.apply_rows([Fraction(c) for c in x.coeffs])
-    img_y = matrix.apply_rows([Fraction(c) for c in y.coeffs])
-    img_bracket = matrix.apply_rows([Fraction(c) for c in bracket(x, y).coeffs])
-    out = [TrigPoly() for _ in range(DIM)]
-    for a, b, k, value in SE3.nonzero_entries():
-        out[k] = out[k] + img_x[a] * img_y[b] * value
-    return tuple(img_bracket[k] - out[k] for k in range(DIM))
 
 
 def omega_norm_sq(x: AlgebraElement) -> float:

@@ -355,17 +355,6 @@ def second_prolongation(v: PointVectorField) -> Prolongation:
     )
 
 
-def explicit_phi_x(v: PointVectorField) -> JetPolynomial:
-    """First-order lift written out directly, used as a cross-check oracle:
-    -u_x (d_x + u_x d_u) xi1 - u_y (d_x + u_x d_u) xi2
-    - u_z (d_x + u_x d_u) xi3 + (d_x + u_x d_u) phi.
-    """
-    ux = JetPolynomial.variable("u_x")
-    op = lambda p: p.partial("x") + ux * p.partial("u")
-    uy, uz = JetPolynomial.variable("u_y"), JetPolynomial.variable("u_z")
-    return -ux * op(v.xi1) - uy * op(v.xi2) - uz * op(v.xi3) + op(v.phi)
-
-
 def reduce_on_shell(p: JetPolynomial) -> JetPolynomial:
     """Substitute u_zz = f - u_xx - u_yy (use the equation itself)."""
     replacement = (

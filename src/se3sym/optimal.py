@@ -39,7 +39,6 @@ from .algebra import (
     is_abelian,
 )
 from .adjoint import AdjointWord, apply_step, apply_word, omega_norm_sq, translation_dot
-from .linalg import exact_solve_in_span
 
 PATTERN_TOL = 1e-9
 ZERO_TOL = 1e-12
@@ -438,12 +437,13 @@ def equivalence_search(x: AlgebraElement, y: AlgebraElement) -> Optional[Adjoint
     Screw invariants are compared first: kinds must agree and, for screws,
     the pitches (scale-free invariants) must match.  When they do, the
     canonicalization words of both sides compose into an explicit witness,
-    checked at unit scale by unit_proportionality.
+    checked at unit scale by unit_proportionality.  Canonicalizing x / max|x|
+    gives the words and pitch of x, and no scale that could overflow.
     """
     if x.is_zero() or y.is_zero():
         raise ValueError("equivalence is defined for nonzero elements")
-    sx = canonicalize_screw(x.to_float())
-    sy = canonicalize_screw(y.to_float())
+    sx = canonicalize_screw(AlgebraElement.numeric(_unit(x)[0]))
+    sy = canonicalize_screw(AlgebraElement.numeric(_unit(y)[0]))
     if sx.kind != sy.kind:
         return None
     if sx.kind == "screw":
@@ -528,21 +528,18 @@ class TableVerdict(NamedTuple):
     independent: bool
     closed: bool
     table: Optional[List[List[AlgebraElement]]]
+    generators: Tuple[AlgebraElement, ...]
 
 
 def verify_3d_4d(a_grid: Sequence) -> List[TableVerdict]:
     """Closure of the printed 3- and 4-dimensional subalgebras with their
     recomputed commutator tables."""
-    out = []
-    for raw in a_grid:
-        a = Fraction(raw)
-        gens = (X1 + a * X4, X2, X3)
-        verdict = closure_check(SubalgebraBasis(gens))
-        out.append(TableVerdict("A3", a, True, verdict.closed, commutator_table(gens)))
-    gens4 = (X1, X2, X3, X4)
-    verdict4 = closure_check(SubalgebraBasis(gens4))
-    out.append(TableVerdict("A4", None, True, verdict4.closed, commutator_table(gens4)))
-    return out
+    cases = [("A3", a, (X1 + a * X4, X2, X3)) for a in map(Fraction, a_grid)]
+    cases.append(("A4", None, (X1, X2, X3, X4)))
+    return [
+        TableVerdict(case, a, True, closure_check(SubalgebraBasis(g)).closed, commutator_table(g), g)
+        for case, a, g in cases
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +582,18 @@ def frobenius_quadrics() -> Dict[Tuple[int, int, int], Quadric]:
     return table
 
 
+@functools.lru_cache(maxsize=None)
+def diagonal_quadrics() -> Dict[Tuple[int, int, int], Quadric]:
+    """The entries of frobenius_quadrics whose monomials are all squares."""
+    return {t: q for t, q in frobenius_quadrics().items() if all(i == j for i, j in q)}
+
+
+@functools.lru_cache(maxsize=None)
+def _diagonal_columns() -> Tuple[Tuple[int, ...], ...]:
+    """The coordinates squared in each diagonal quadric, ascending."""
+    return tuple(tuple(sorted(i for i, _ in q)) for q in diagonal_quadrics().values())
+
+
 _CHUNK = 20000
 
 
@@ -607,30 +616,29 @@ def _residuals(lam: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _floor(lam: np.ndarray) -> np.ndarray:
     """Each row's largest diagonal quadric over |lam|^2: a lower bound on its
-    residual.
+    residual, which hyperplane_certificate proves to be at least 2/5.
 
-    The four quadrics made of squares alone are lam_1^2 + lam_2^2,
-    -(lam_1^2 + lam_3^2), lam_2^2 + lam_3^2 and lam_4^2 + lam_5^2 + lam_6^2.
-    Taken from raw squares, the quotient differs from the same quadric of
-    the rounded unit row by ~20 ulp, far inside the scan's 1e-12 margin.
+    A diagonal quadric adds its squares with one sign, so its absolute value
+    is their plain sum.  Taken from raw squares, the quotient differs from
+    the same quadric of the rounded unit row by ~20 ulp, far inside the
+    scan's 1e-12 margin.
     """
-    a, b, c, d, e, f = np.square(lam.T)
-    largest = np.maximum(np.maximum(a + b, a + c), np.maximum(b + c, d + e + f))
-    return largest / (a + b + c + d + e + f)
+    squares = np.square(lam.T)
+    largest = None
+    for first, *rest in _diagonal_columns():
+        total = squares[first]
+        for i in rest:
+            total = total + squares[i]
+        largest = total if largest is None else np.maximum(largest, total)
+    return largest / sum(squares[1:], squares[0])
 
 
 def _hyperplane_basis(lam: np.ndarray) -> np.ndarray:
     """Rows spanning the kernel of the covector lam."""
     pivot = int(np.argmax(np.abs(lam)))
-    rows = []
-    for i in range(DIM):
-        if i == pivot:
-            continue
-        row = np.zeros(DIM)
-        row[i] = 1.0
-        row[pivot] = -lam[i] / lam[pivot]
-        rows.append(row)
-    return np.array(rows)
+    rows = np.delete(np.eye(DIM), pivot, axis=0)
+    rows[:, pivot] = -np.delete(lam, pivot) / lam[pivot]
+    return rows
 
 
 @functools.lru_cache(maxsize=None)
@@ -674,46 +682,35 @@ def hyperplane_scan(samples: int, seed: int, threshold: float = 1e-6) -> Hyperpl
     return HyperplaneScan(len(grid), samples, min_residual, found)
 
 
-_MONOMIALS = tuple(itertools.combinations_with_replacement(range(DIM), 2))
-
-# each target is a sum of the listed monomials lam_i*lam_j
-_CERTIFICATE_TARGETS = {
-    "lambda_1^2": {(0, 0)},
-    "lambda_2^2": {(1, 1)},
-    "lambda_3^2": {(2, 2)},
-    "lambda_4^2 + lambda_5^2 + lambda_6^2": {(3, 3), (4, 4), (5, 5)},
-}
-
-
 class HyperplaneCertificate(NamedTuple):
-    """Exact proof that se(3) has no 5-dimensional subalgebra.
+    """Exact proof that no hyperplane of se(3) is closed: on a unit covector
+    max |lam ^ dlam| is at least residual_floor (2/5), and witness attains it.
 
-    combinations[target][triple] is the rational coefficient of the quadric
-    (lam ^ dlam)(triple) in the target.  The four targets sum to |lam|^2,
-    so lam ^ dlam = 0 forces lam = 0: no hyperplane is closed.
+    The k diagonal quadrics on lam_1..lam_3 (three) cover each of those
+    squares twice with one sign each, so the largest is at least 2t / k,
+    t = lam_1^2 + lam_2^2 + lam_3^2; the one left is lam_4^2 + lam_5^2 +
+    lam_6^2 = 1 - t.  And max(2t / k, 1 - t) >= 2 / (2 + k).
     """
 
-    combinations: Dict[str, Dict[Tuple[int, int, int], Fraction]]
-
-    @property
-    def residual_floor(self) -> Fraction:
-        """Lower bound on max |lam ^ dlam| for unit lam.
-
-        |lam|^2 = sum of c_t * quadric_t over all combinations, which is at
-        most (sum of |c_t|) * max |quadric_t|.
-        """
-        total = sum(abs(c) for combo in self.combinations.values() for c in combo.values())
-        return 1 / total
+    diagonal: Dict[Tuple[int, int, int], Quadric]
+    residual_floor: Fraction
+    witness: Tuple[int, ...]
 
 
 def hyperplane_certificate() -> HyperplaneCertificate:
-    """Solve each target in the rational span of the quadrics."""
-    table = frobenius_quadrics()
-    rows = [[q.get(m, 0) for m in _MONOMIALS] for q in table.values()]
-    combinations = {}
-    for name, target in _CERTIFICATE_TARGETS.items():
-        coords = exact_solve_in_span(rows, [int(m in target) for m in _MONOMIALS])
-        if coords is None:
-            raise ArithmeticError(f"{name} is not a combination of the quadrics")
-        combinations[name] = {t: c for t, c in zip(table, coords) if c}
-    return HyperplaneCertificate(combinations)
+    """Check the cover of the squares and the witness exactly; raises
+    ArithmeticError where either fails."""
+    diagonal = diagonal_quadrics()
+    inner = [c for c in _diagonal_columns() if c[-1] < 3]
+    if (
+        any(set(q.values()) not in ({1}, {-1}) for q in diagonal.values())
+        or sorted(i for c in inner for i in c) != [0, 0, 1, 1, 2, 2]
+        or [c for c in _diagonal_columns() if c not in inner] != [(3, 4, 5)]
+    ):
+        raise ArithmeticError("the diagonal quadrics do not cover the squares of lam")
+    floor = Fraction(2, 2 + len(inner))
+    w = (-2, -2, -2, -2, -2, 0)  # no quadric exceeds 2/5 |w|^2 here
+    values = (sum(c * w[i] * w[j] for (i, j), c in q.items()) for q in frobenius_quadrics().values())
+    if max(map(abs, values)) != floor * sum(x * x for x in w):
+        raise ArithmeticError(f"the witness {w} does not attain the floor {floor}")
+    return HyperplaneCertificate(diagonal, floor, w)

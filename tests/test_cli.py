@@ -127,6 +127,19 @@ def test_equiv_beyond_float64_scale_reports_a_null_scale(x, y, word):
     assert payload == {"equivalent": True, "word": word, "scale": None}
 
 
+@pytest.mark.parametrize(
+    "x, y", [("1,0,0,0,0,0", "4e-320,0,0,0,0,0"), ("4e-320,0,0,0,0,0", "1,0,0,0,0,0")]
+)
+def test_equiv_with_a_subnormal_side_is_verified(x, y):
+    # the pitch and words come from each side at unit scale, so a subnormal
+    # maximum has no scale to overflow
+    status, out = _run(["equiv", "--x", x, "--y", y])
+    assert status == 0
+    payload = json.loads(out)
+    _validate(payload, "equiv.json")
+    assert payload["equivalent"] is True and payload["word"] == []
+
+
 @pytest.mark.parametrize("vector", ["1e-320,0,0,0,0,1e-320", "5e-309,0,0,0,0,0"])
 def test_classify_with_a_subnormal_maximum_is_a_usage_error(vector, capsys):
     # the scale 1 / max |coordinate| overflows float64

@@ -12,7 +12,6 @@ from se3sym.jets import (
     PointVectorField,
     defining_equations,
     dilation_field,
-    explicit_phi_x,
     f_atom,
     f_prime,
     field_from_phi,
@@ -218,6 +217,15 @@ def _random_point_poly(rng, degree=2):
             term = term * basis[rng.randrange(len(basis))]
         total = total + term
     return total
+
+
+def explicit_phi_x(v):
+    """First-order lift written out directly, a cross-check oracle:
+    -u_x (d_x + u_x d_u) xi1 - u_y (d_x + u_x d_u) xi2
+    - u_z (d_x + u_x d_u) xi3 + (d_x + u_x d_u) phi.
+    """
+    op = lambda p: p.partial("x") + u_x * p.partial("u")
+    return -u_x * op(v.xi1) - u_y * op(v.xi2) - u_z * op(v.xi3) + op(v.phi)
 
 
 def test_first_order_recursion_matches_explicit_formula():

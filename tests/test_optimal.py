@@ -37,6 +37,7 @@ from se3sym.optimal import (
     _floor,
     _hyperplane_basis,
     _residuals,
+    diagonal_quadrics,
     frobenius_quadrics,
     hyperplane_certificate,
     hyperplane_scan,
@@ -726,24 +727,10 @@ def test_quadric_table_has_nineteen_entries():
     assert all(a < b < c for a, b, c in table)
 
 
-def test_certificate_combinations_reproduce_targets(certificate):
-    table = frobenius_quadrics()
-    lam = [Fraction(n, 7) for n in (3, -5, 2, 11, -1, 4)]
-    targets = {
-        "lambda_1^2": lam[0] ** 2,
-        "lambda_2^2": lam[1] ** 2,
-        "lambda_3^2": lam[2] ** 2,
-        "lambda_4^2 + lambda_5^2 + lambda_6^2": lam[3] ** 2 + lam[4] ** 2 + lam[5] ** 2,
-    }
-    assert certificate.combinations.keys() == targets.keys()
-    for name, combo in certificate.combinations.items():
-        assert sum(c * _evaluate(table[t], lam) for t, c in combo.items()) == targets[name]
-    assert certificate.residual_floor == Fraction(2, 11)
-
-
 @given(unit_covectors)
 def test_unit_covector_residual_above_floor(certificate, lam):
-    assert _residuals(lam[None, :])[1][0] >= float(certificate.residual_floor)
+    # the scan's own relative margin
+    assert _residuals(lam[None, :])[1][0] >= float(certificate.residual_floor) * (1 - 1e-12)
 
 
 @pytest.mark.parametrize("samples", [20001, 40000])
@@ -808,8 +795,39 @@ def _skips_soundly(rows, bounds):
 
 
 def test_diagonal_quadrics_are_the_four_sums_of_squares():
-    table = frobenius_quadrics()
-    assert {t: q for t, q in table.items() if all(i == j for i, j in q)} == _DIAGONAL
+    assert diagonal_quadrics() == _DIAGONAL
+
+
+def test_certificate_proves_and_attains_the_two_fifths_floor(certificate):
+    assert certificate.residual_floor == Fraction(2, 5)
+    assert certificate.diagonal == _DIAGONAL
+    # the cover: three quadrics hold each of lam_1^2..lam_3^2 twice, one
+    # sign each, and the fourth is lam_4^2 + lam_5^2 + lam_6^2
+    inner = [q for t, q in _DIAGONAL.items() if t != (3, 4, 5)]
+    assert sorted(i for q in inner for i, _ in q) == [0, 0, 1, 1, 2, 2]
+    assert all(len(set(q.values())) == 1 for q in _DIAGONAL.values())
+    # the witness: no quadric exceeds 2/5 |lam|^2, and one equals it
+    lam = certificate.witness
+    assert lam == (-2, -2, -2, -2, -2, 0)
+    values = [abs(_evaluate(q, lam)) for q in frobenius_quadrics().values()]
+    assert max(values) == Fraction(2, 5) * sum(l * l for l in lam)
+    assert _residuals(np.array([lam], dtype=float))[1][0] == _FLOOR
+
+
+def test_certificate_raises_where_the_cover_or_the_witness_fails(monkeypatch):
+    columns = optimal._diagonal_columns()
+    with monkeypatch.context() as patch:
+        # drop lam_1^2 + lam_2^2: lam_3^2 is covered twice, the others once
+        patch.setattr(optimal, "_diagonal_columns", lambda: columns[1:])
+        with pytest.raises(ArithmeticError, match="cover"):
+            hyperplane_certificate()
+    table = dict(frobenius_quadrics())
+    table[(0, 1, 2)] = {(0, 0): Fraction(3)}
+    with monkeypatch.context() as patch:
+        # a quadric of 12 > 2/5 * 20 at the witness
+        patch.setattr(optimal, "frobenius_quadrics", lambda: table)
+        with pytest.raises(ArithmeticError, match="witness"):
+            hyperplane_certificate()
 
 
 def test_floor_is_the_largest_diagonal_quadric_over_the_squared_norm():

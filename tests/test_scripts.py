@@ -26,7 +26,7 @@ def test_hyperplane_scan_script():
     result = _run_script("hyperplane_scan.py", "--samples", "1000")
     assert result.returncode == 0, result.stderr
     assert "closed hyperplane    none" in result.stdout
-    assert "residual floor" in result.stdout
+    assert "residual floor       0.400000" in result.stdout
     assert "covectors per s" in result.stdout
 
 
