@@ -39,6 +39,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.count < 1:
         parser.error("--count must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be a nonnegative integer")
 
     start = time.perf_counter()
     coords, batch = gaussian_sweep(np.random.default_rng(args.seed), args.count)

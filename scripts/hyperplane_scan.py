@@ -33,6 +33,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.samples < 1:
         parser.error("--samples must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be a nonnegative integer")
 
     start = time.perf_counter()
     scan = hyperplane_scan(args.samples, args.seed)

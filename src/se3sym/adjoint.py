@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -73,16 +73,6 @@ class TrigPolyMatrix(NamedTuple):
         c, s = np.cos(sigma), np.sin(sigma)
         values = np.array([[e._at(sigma, c, s) for e in row] for row in self.entries])
         return np.moveaxis(values, (0, 1), (-2, -1))
-
-    def apply_rows(self, coeffs: Sequence) -> Tuple[TrigPoly, ...]:
-        """Row-vector action: image coordinates of sum_j coeffs[j] X_j."""
-        out = [TrigPoly() for _ in range(DIM)]
-        for j, cj in enumerate(coeffs):
-            if cj == 0:
-                continue
-            for k in range(DIM):
-                out[k] = out[k] + self.entries[j][k] * cj
-        return tuple(out)
 
     def __str__(self) -> str:
         return "\n".join("  ".join(str(e) for e in row) for row in self.entries)

@@ -4,7 +4,9 @@ Elements are coordinate vectors over the fixed basis X_1..X_6, where X_1,
 X_2, X_3 generate translations along x, y, z and X_4, X_5, X_6 the rotations
 y dz - z dy, z dx - x dz, x dy - y dx.  Coordinates live in one of two
 numeric towers: exact rationals for algebraic identities, float64 for orbit
-searches.  Towers never mix inside a value.
+searches.  Towers never mix inside a value.  Subalgebra queries (independence,
+span membership, closure, commutator tables) are decided exactly and take
+exact generators only.
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .linalg import (
-    exact_rank,
-    exact_nullspace,
-    exact_solve_in_span,
-    float_rank,
-    float_solve_in_span,
-)
+from .linalg import exact_nullspace, exact_rank, exact_solve_in_span
 
 DIM = 6
 
@@ -246,41 +242,33 @@ def jacobi_defect(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement) -> Al
 
 @dataclass(frozen=True)
 class SubalgebraBasis:
-    """Linearly independent generator list of length 1..6."""
+    """Linearly independent list of 1..6 exact generators."""
 
     generators: Tuple[AlgebraElement, ...]
 
     def __post_init__(self):
         if not 1 <= len(self.generators) <= DIM:
             raise ValueError("a basis holds between 1 and 6 generators")
-        towers = {g.tower for g in self.generators}
-        if len(towers) > 1:
-            raise TowerError("generators from different numeric towers")
         _check_independent(self.generators)
 
     def __len__(self) -> int:
         return len(self.generators)
 
-    @property
-    def tower(self) -> str:
-        return self.generators[0].tower
+
+def _require_exact(elements: Sequence[AlgebraElement]) -> None:
+    if any(e.tower != "exact" for e in elements):
+        raise TowerError("subalgebra queries take exact coordinates")
 
 
 def _check_independent(generators: Sequence[AlgebraElement]) -> None:
+    _require_exact(generators)
     rows = [g.coeffs for g in generators]
-    if generators[0].tower == "exact":
-        rank = exact_rank(rows)
-        if rank < len(generators):
-            relation = exact_nullspace(
-                [[rows[j][i] for j in range(len(rows))] for i in range(DIM)]
-            )
-            raise DependentBasisError(rank, relation[0] if relation else None)
-    else:
-        mat = np.array([[float(c) for c in row] for row in rows])
-        rank = float_rank(mat)
-        if rank < len(generators):
-            _, _, vh = np.linalg.svd(mat)
-            raise DependentBasisError(rank, tuple(vh[-1]))
+    rank = exact_rank(rows)
+    if rank < len(generators):
+        relation = exact_nullspace(
+            [[rows[j][i] for j in range(len(rows))] for i in range(DIM)]
+        )
+        raise DependentBasisError(rank, relation[0] if relation else None)
 
 
 def commutator_table(basis: Sequence[AlgebraElement]) -> List[List[AlgebraElement]]:
@@ -290,15 +278,12 @@ def commutator_table(basis: Sequence[AlgebraElement]) -> List[List[AlgebraElemen
     return [[bracket(a, b) for b in generators] for a in generators]
 
 
-def in_span(x: AlgebraElement, basis: SubalgebraBasis) -> Optional[Tuple[Scalar, ...]]:
-    """Coordinates of x in the basis when x lies in its span, else None."""
+def in_span(x: AlgebraElement, basis: SubalgebraBasis) -> Optional[Tuple[Fraction, ...]]:
+    """Coordinates of x in the basis (a SubalgebraBasis or a sequence of
+    exact generators) when x lies in its span, else None."""
     generators = basis.generators if isinstance(basis, SubalgebraBasis) else tuple(basis)
-    rows = [g.coeffs for g in generators]
-    if x.tower == "exact" and generators[0].tower == "exact":
-        return exact_solve_in_span(rows, x.coeffs)
-    float_rows = [[float(c) for c in row] for row in rows]
-    coords = float_solve_in_span(float_rows, [float(c) for c in x.coeffs])
-    return None if coords is None else tuple(coords)
+    _require_exact((x, *generators))
+    return exact_solve_in_span([g.coeffs for g in generators], x.coeffs)
 
 
 class ClosureWitness(NamedTuple):

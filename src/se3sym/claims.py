@@ -194,7 +194,7 @@ def _coords_json(element: AlgebraElement) -> List:
 
 
 def _element_in_letters(value: AlgebraElement, basis: Sequence[AlgebraElement], letters: Sequence[str]) -> str:
-    coords = in_span(value, SubalgebraBasis(tuple(basis)))
+    coords = in_span(value, basis)
     if coords is None:
         return "outside span: " + str(value)
     return format_element(coords, letters)

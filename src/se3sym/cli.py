@@ -60,9 +60,11 @@ def _parse_vector(text: str, flag: str) -> AlgebraElement:
             raise UsageError(f"{flag} has a malformed entry {piece!r}") from None
         if not _is_finite(values[-1]):
             raise UsageError(f"{flag} has a non-finite entry {piece!r}")
-    if exact:
-        return AlgebraElement.exact(values)
-    return AlgebraElement.numeric([float(v) for v in values])
+    if not exact:
+        return AlgebraElement.numeric([float(v) for v in values])
+    if any(values) and not any(map(float, values)):
+        raise UsageError(f"{flag} is nonzero but every entry rounds to 0.0 in float64")
+    return AlgebraElement.exact(values)
 
 
 def _is_finite(value) -> bool:

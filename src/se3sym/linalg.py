@@ -1,13 +1,11 @@
-"""Small dense linear algebra over exact rationals and over float64.
+"""Small dense linear algebra over exact rationals.
 
-The exact routines take rows of Fractions (or ints) and never round.  They
+The routines take rows of Fractions (or ints) and never round.  They
 clear each row's denominators and eliminate on Python ints, fraction-free:
 a row is cross-multiplied by the pivot over the gcd of the two leading
 entries, then divided by the gcd of its entries, so numbers stay small and no
 Fraction is built while eliminating.  Results are Fractions again, made once
-from the finished echelon form.  The float routines use column-pivoted
-elimination with a relative tolerance, which is what the orbit searches need
-once word parameters become irrational.
+from the finished echelon form.
 """
 
 from __future__ import annotations
@@ -15,10 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
-
-FLOAT_RTOL = 1e-9
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -136,45 +130,3 @@ def exact_solve_in_span(
         return None
     return solved[0]
 
-
-def float_rank(matrix: np.ndarray, rtol: float = FLOAT_RTOL) -> int:
-    mat = np.array(matrix, dtype=float)
-    if mat.size == 0:
-        return 0
-    scale = np.abs(mat).max()
-    if scale == 0.0:
-        return 0
-    rank = 0
-    rows, cols = mat.shape
-    for col in range(cols):
-        sub = np.abs(mat[rank:, col])
-        if sub.size == 0:
-            break
-        pivot = rank + int(np.argmax(sub))
-        if abs(mat[pivot, col]) <= rtol * scale:
-            continue
-        mat[[rank, pivot]] = mat[[pivot, rank]]
-        mat[rank] = mat[rank] / mat[rank, col]
-        for r in range(rows):
-            if r != rank:
-                mat[r] = mat[r] - mat[r, col] * mat[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def float_solve_in_span(
-    basis_rows: Sequence[Sequence[float]], target: Sequence[float], rtol: float = FLOAT_RTOL
-) -> Optional[np.ndarray]:
-    """Float analogue of exact_solve_in_span with a relative residual test."""
-    basis = np.array(basis_rows, dtype=float)
-    vec = np.array(target, dtype=float)
-    if basis.size == 0:
-        return None
-    coords, *_ = np.linalg.lstsq(basis.T, vec, rcond=None)
-    residual = basis.T @ coords - vec
-    scale = max(1.0, float(np.abs(vec).max()), float(np.abs(basis).max()))
-    if np.abs(residual).max() > rtol * scale:
-        return None
-    return coords

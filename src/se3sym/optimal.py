@@ -654,7 +654,11 @@ def _integer_grid() -> np.ndarray:
 def hyperplane_scan(samples: int, seed: int, threshold: float = 1e-6) -> HyperplaneScan:
     """Scan the deterministic grid plus random unit covectors for a closed
     5-dimensional subalgebra (a falsification search; hyperplane_certificate
-    is the proof)."""
+    is the proof).
+
+    found, when set, holds the float kernel rows of the first covector at or
+    below threshold as exact rationals (each the float's own value).
+    """
     for name, value in (("samples", samples), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -678,7 +682,7 @@ def hyperplane_scan(samples: int, seed: int, threshold: float = 1e-6) -> Hyperpl
         min_residual = min(min_residual, float(residuals[best]))
         if found is None and residuals[best] <= threshold:
             rows = _hyperplane_basis(unit[best])
-            found = SubalgebraBasis(tuple(AlgebraElement.numeric(row) for row in rows))
+            found = SubalgebraBasis(tuple(AlgebraElement.exact(row) for row in rows))
     return HyperplaneScan(len(grid), samples, min_residual, found)
 
 

@@ -281,15 +281,27 @@ def test_orbit_invariants_preserved():
         assert abs(translation_dot(moved) - translation_dot(x)) < 1e-9
 
 
+def apply_rows(matrix, coeffs):
+    """Row-vector action of a TrigPolyMatrix: image coordinates of
+    sum_j coeffs[j] X_j."""
+    out = [TrigPoly() for _ in range(DIM)]
+    for j, cj in enumerate(coeffs):
+        if cj == 0:
+            continue
+        for k in range(DIM):
+            out[k] = out[k] + matrix.entries[j][k] * cj
+    return tuple(out)
+
+
 def symbolic_automorphism_defect(i, x, y):
     """Defect of a single symbolic step, as TrigPoly coordinates.
 
     Vanishes identically modulo C^2 + S^2 = 1 because Ad is an automorphism.
     """
     matrix = closed_form(i)
-    img_x = matrix.apply_rows([Fraction(c) for c in x.coeffs])
-    img_y = matrix.apply_rows([Fraction(c) for c in y.coeffs])
-    img_bracket = matrix.apply_rows([Fraction(c) for c in bracket(x, y).coeffs])
+    img_x = apply_rows(matrix, [Fraction(c) for c in x.coeffs])
+    img_y = apply_rows(matrix, [Fraction(c) for c in y.coeffs])
+    img_bracket = apply_rows(matrix, [Fraction(c) for c in bracket(x, y).coeffs])
     out = [TrigPoly() for _ in range(DIM)]
     for a, b, k, value in SE3.nonzero_entries():
         out[k] = out[k] + img_x[a] * img_y[b] * value

@@ -112,14 +112,19 @@ def test_in_span_examples():
     assert coords == (Fraction(5, 2), Fraction(-1, 2))
 
 
-def test_in_span_float_tower():
-    basis = SubalgebraBasis(
-        (X1.to_float(), (X2 + X4).to_float())
-    )
-    coords = in_span(AlgebraElement.numeric([0.5, 2.0, 0.0, 2.0, 0.0, 0.0]), basis)
-    assert coords is not None
-    assert np.allclose(coords, [0.5, 2.0])
-    assert in_span(X3.to_float(), basis) is None
+def test_subalgebra_queries_reject_the_float_tower():
+    floats = (X1.to_float(), (X2 + X4).to_float())
+    for generators in (floats, (X1, (X2 + X4).to_float())):
+        with pytest.raises(TowerError):
+            SubalgebraBasis(generators)
+        with pytest.raises(TowerError):
+            in_span(X1, generators)
+        with pytest.raises(TowerError):
+            closure_check(generators)
+        with pytest.raises(TowerError):
+            commutator_table(generators)
+    with pytest.raises(TowerError):
+        in_span(X1.to_float(), SubalgebraBasis((X1, X2 + X4)))
 
 
 def test_closure_check_examples():

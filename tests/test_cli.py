@@ -192,6 +192,21 @@ def test_non_finite_vector_entries_are_usage_errors(capsys):
         assert argv[-2] in capsys.readouterr().err
 
 
+# nonzero exactly, but every coordinate is 0.0 in float64
+_ROUNDS_TO_ZERO = "1/1" + "0" * 400 + ",0,0,0,0,0"
+
+
+@pytest.mark.parametrize(
+    "x, y, flag",
+    [(_ROUNDS_TO_ZERO, "1,0,0,0,0,0", "--x"), ("1,0,0,0,0,0", _ROUNDS_TO_ZERO, "--y")],
+)
+def test_equiv_side_that_rounds_to_zero_is_a_usage_error(x, y, flag, capsys):
+    status, out = _run(["equiv", "--x", x, "--y", y])
+    assert status == 2
+    assert out == ""
+    assert f"{flag} is nonzero" in capsys.readouterr().err
+
+
 def test_equiv_quarter_turn():
     status, out = _run(["equiv", "--x", "1,0,0,2,0,0", "--y", "0,1,0,0,2,0"])
     assert status == 0

@@ -644,6 +644,7 @@ def test_kernel_equals_the_reference_bit_for_bit(monkeypatch, samples, seed):
         assert scan.min_residual == min_residual
         assert (scan.found is None) == (witness is None)
         if witness is not None:
+            assert all(g.tower == "exact" for g in scan.found.generators)
             generators = np.array([g.as_array() for g in scan.found.generators])
             assert np.array_equal(generators, _hyperplane_basis(witness))
 

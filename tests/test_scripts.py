@@ -39,21 +39,17 @@ def test_classify_sweep_script():
     assert float(gap.split()[-1]) < 1e-9
 
 
-def test_run_claims_script_reports_the_expected_discrepancies(tmp_path):
-    out = tmp_path / "report.json"
-    result = _run_script("run_claims.py", "--samples", "1000", "--out", str(out))
-    # exit 1 means "discrepancy found": the five known ones
-    assert result.returncode == 1, result.stderr
-    assert "5 discrepancies" in result.stdout
-    assert out.exists()
-
-
 def test_scripts_reject_sizes_below_one():
-    for name, flag, value in (("classify_sweep.py", "--count", "-3"), ("hyperplane_scan.py", "--samples", "-1")):
+    for name, flag, value, message in (
+        ("classify_sweep.py", "--count", "-3", "--count must be at least 1"),
+        ("hyperplane_scan.py", "--samples", "-1", "--samples must be at least 1"),
+        ("classify_sweep.py", "--seed", "-1", "--seed must be a nonnegative integer"),
+        ("hyperplane_scan.py", "--seed", "-1", "--seed must be a nonnegative integer"),
+    ):
         result = _run_script(name, flag, value)
         assert result.returncode == 2
         assert result.stdout == ""
-        assert f"{flag} must be at least 1" in result.stderr
+        assert message in result.stderr
 
 
 # each script runs to completion under runpy, then the process counts its
@@ -75,7 +71,6 @@ print("threads", len(os.listdir("/proc/self/task")))
     [
         ("classify_sweep.py", ["--count", "50"]),
         ("hyperplane_scan.py", ["--samples", "1000"]),
-        ("run_claims.py", ["--samples", "1000", "--out", "report.json"]),
     ],
 )
 def test_scripts_run_numpy_on_one_thread(tmp_path, name, args):
