@@ -34,15 +34,18 @@ class TrigPoly(SparsePoly):
 
     __slots__ = ()
 
-    @staticmethod
-    def _accumulate(store, key, value) -> None:
-        """Add value * s^a C^b S^c after rewriting C^2 -> 1 - S^2."""
-        a, b, c = key
-        if b >= 2:
-            TrigPoly._accumulate(store, (a, b - 2, c), value)
-            TrigPoly._accumulate(store, (a, b - 2, c + 2), -value)
-        else:
-            SparsePoly._accumulate(store, key, value)
+    @classmethod
+    def _canonical(cls, store):
+        """Rewrite C^b = C^(b mod 2) (1 - S^2)^(b // 2).  A key of C-degree at
+        most 1 keeps its place, and a rewritten key's terms enter where it
+        stood, in rising powers of S: _at sums in that order."""
+        normal = {}
+        for (a, b, c), value in store.items():
+            half, b = divmod(b, 2)
+            for j in range(half + 1):
+                key = (a, b, c + 2 * j)
+                normal[key] = normal.get(key, 0) + (-1) ** j * math.comb(half, j) * value
+        return super()._canonical(normal)
 
     @classmethod
     def symbol(cls, name: str) -> "TrigPoly":

@@ -490,11 +490,8 @@ def _claim_three_four_dim() -> List[Claim]:
             continue
         rendered = render(verdict, ("X", "Y", "Z"))
         recomputed3[f"a={verdict.a}"] = rendered
-        expect_published = [
-            ["0", f"{-verdict.a}", "0"],
-            [f"{verdict.a}", "0", "0"],
-            ["0", "0", "0"],
-        ]
+        letters = {"a": str(verdict.a), "-a": str(-verdict.a)}
+        expect_published = [[letters.get(cell, cell) for cell in row] for row in PUBLISHED_A3_TABLE]
         mismatch3 = mismatch3 or rendered != expect_published
     rendered4 = render(next(v for v in verdicts if v.case == "A4"), ("X_1", "X_2", "X_3", "X_4"))
     match4 = rendered4 == [list(r) for r in PUBLISHED_A4_TABLE]

@@ -53,15 +53,18 @@ def _bump(mono: Monomial, *changes: Tuple[int, int]) -> Monomial:
     return tuple(out)
 
 
+def _add_term(store: Dict[Monomial, Fraction], key: Monomial, value) -> None:
+    """Add value * key to a term store."""
+    old = store.get(key)
+    store[key] = value if old is None else old + value
+
+
 class JetPolynomial(SparsePoly):
     """Sparse polynomial over the jet coordinates and source atoms."""
 
     VARIABLES = VARIABLES
 
     __slots__ = ()
-
-    def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
 
     def uses(self, names: Iterable[str]) -> bool:
         wanted = {_INDEX[n] for n in names}
@@ -78,11 +81,11 @@ class JetPolynomial(SparsePoly):
         out: Dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
             if mono[idx]:
-                self._accumulate(out, _bump(mono, (idx, -1)), coeff * mono[idx])
+                _add_term(out, _bump(mono, (idx, -1)), coeff * mono[idx])
             for atom, derived in chain:
                 if mono[atom]:
                     key = _bump(mono, (atom, -1), (derived, 1))
-                    self._accumulate(out, key, coeff * mono[atom])
+                    _add_term(out, key, coeff * mono[atom])
         return self._canonical(out)
 
     def total_derivative(self, direction: str) -> "JetPolynomial":
@@ -96,7 +99,7 @@ class JetPolynomial(SparsePoly):
                     continue
                 bumps = _derivative_of_variable(VARIABLES[idx], direction, mono)
                 if bumps is not None:
-                    self._accumulate(out, _bump(mono, (idx, -1), *bumps), coeff * exp)
+                    _add_term(out, _bump(mono, (idx, -1), *bumps), coeff * exp)
         return self._canonical(out)
 
     def substitute(self, name: str, replacement: "JetPolynomial") -> "JetPolynomial":
@@ -110,7 +113,7 @@ class JetPolynomial(SparsePoly):
                 powers.append(powers[-1] * replacement)
             base = _bump(mono, (idx, -power))
             for rmono, rcoeff in powers[power].terms.items():
-                self._accumulate(out, tuple(map(add, base, rmono)), coeff * rcoeff)
+                _add_term(out, tuple(map(add, base, rmono)), coeff * rcoeff)
         return self._canonical(out)
 
     @classmethod
@@ -194,6 +197,8 @@ def _parse_polynomial(text: str) -> JetPolynomial:
             if token in "+-" and not expect_factor:
                 break
             if token == "*":
+                if expect_factor:
+                    raise ValueError("'*' where a factor is expected in polynomial text")
                 idx += 1
                 expect_factor = True
                 continue
@@ -430,10 +435,10 @@ def defining_equations(v: PointVectorField) -> List[JetPolynomial]:
 
 
 def substitute_zero_source(p: JetPolynomial) -> JetPolynomial:
-    """Specialize residuals to a vanishing source term."""
-    return p.substitute("f", JetPolynomial.zero()).substitute(
-        "f'", JetPolynomial.zero()
-    ).substitute("f''", JetPolynomial.zero())
+    """Specialize residuals to a vanishing source term: drop every term
+    that holds f, f' or f''."""
+    atoms = [_INDEX[n] for n in ("f", "f'", "f''")]
+    return p._canonical({m: c for m, c in p.terms.items() if not any(m[i] for i in atoms)})
 
 
 # ---------------------------------------------------------------------------
@@ -475,77 +480,50 @@ class PhiSolutionSpace(NamedTuple):
         return g - JetPolynomial.constant(g.terms.get(_ZERO_MONOMIAL, Fraction(0)))
 
 
-class _PhiSystem(NamedTuple):
-    """The phi-system of one (f_mode, cap), reduced once.
-
-    The unknowns are the coefficients of g over monomials, then those of h.
-    Write A for the matrix of the system.  transform holds, for each row
-    that can carry a right-hand side, its key (equation, monomial) and its
-    column of an invertible N with N A = RREF(A) (stacked on zero rows), as
-    sparse (row, value) pairs; N b then reduces a right-hand side b.
-    """
-
-    monomials: Tuple[Monomial, ...]
-    pivots: Tuple[int, ...]
-    transform: Tuple[Tuple[Tuple[int, Monomial], Tuple[Tuple[int, Fraction], ...]], ...]
-    nullspace: Tuple[Tuple[Fraction, ...], ...]
-
-    def particular(self, rhs: Dict[Tuple[int, Monomial], Fraction]) -> Optional[List[Fraction]]:
-        """Solution of A x = b with the free unknowns zero, or None when there
-        is none.  rhs holds the nonzero entries of b by row key.  The system
-        is consistent when every right-hand key has a row and every reduced
-        row past the rank is zero."""
-        columns = dict(self.transform)
-        reduced: Dict[int, Fraction] = {}
-        for key, value in rhs.items():
-            column = columns.get(key)
-            if column is None:
-                return None
-            for r, entry in column:
-                reduced[r] = reduced.get(r, 0) + entry * value
-        rank = len(self.pivots)
-        if any(value for r, value in reduced.items() if r >= rank):
-            return None
-        zero = Fraction(0)
-        solution = [zero] * (2 * len(self.monomials))
-        for r, piv in enumerate(self.pivots):
-            solution[piv] = reduced.get(r, zero)
-        return solution
-
-
 @functools.lru_cache(maxsize=None)
-def _phi_system(f_mode: str, max_degree: int) -> _PhiSystem:
-    """The reduced phi-system.  Its equations, by index: 0..2 are
-    2 d_a g = lap(xi_a) for a = x, y, z, the only ones with a right-hand
-    side; 3 is lap(g) = 0; 4 is lap(h) = 0; for the generic source also
-    5, g = 0, and 6, h = 0.  Each equation has one row per monomial of its
-    left-hand side."""
-    monomials = tuple(_space_monomials(max_degree))
-    units = [JetPolynomial({mono: Fraction(1)}) for mono in monomials]
-    none = [JetPolynomial.zero()] * len(units)
-    laps = [_laplacian(p) for p in units]
-    # each equation as its columns: the images of the g unknowns, then of h
-    equations = [[2 * p.partial(axis) for p in units] + none for axis in ("x", "y", "z")]
-    equations += [laps + none, none + laps]
-    if f_mode == "generic":
-        equations += [units + none, none + units]
-    keys, rows = [], []
-    for index, columns in enumerate(equations):
-        for mono in sorted(set().union(*(c.terms for c in columns))):
-            keys.append((index, mono))
-            rows.append([c.terms.get(mono, 0) for c in columns])
-    ncols = 2 * len(monomials)
-    # [A | I] with the identity restricted to the right-hand-side rows: the
-    # reduced identity block is then the wanted columns of N
-    rhs_rows = [i for i, (index, _) in enumerate(keys) if index < 3]
-    mat, pivots = exact_rref([row + [int(i == j) for j in rhs_rows] for i, row in enumerate(rows)])
-    pivots = tuple(p for p in pivots if p < ncols)
-    transform = tuple(
-        (keys[j], tuple((r, row[ncols + k]) for r, row in enumerate(mat) if row[ncols + k]))
-        for k, j in enumerate(rhs_rows)
+def _harmonic_basis(max_degree: int) -> Tuple[JetPolynomial, ...]:
+    """The harmonic polynomials of degree <= max_degree: the nullspace of
+    the Laplacian on _space_monomials(max_degree), one member per free
+    monomial of its reduced echelon form."""
+    monomials = _space_monomials(max_degree)
+    laps = [_laplacian(JetPolynomial({mono: 1})) for mono in monomials]
+    images = sorted(set().union(*(p.terms for p in laps)))
+    rows = [[p.terms.get(mono, 0) for p in laps] for mono in images]
+    mat, pivots = exact_rref(rows)
+    return tuple(
+        JetPolynomial(dict(zip(monomials, vec)))
+        for vec in nullspace_from_rref(mat, pivots, len(monomials))
     )
-    nullspace = tuple(nullspace_from_rref(mat, pivots, ncols))
-    return _PhiSystem(monomials, pivots, transform, nullspace)
+
+
+def _solve_phi_blocks(
+    sides: Sequence[JetPolynomial], f_mode: str, max_degree: int
+) -> Optional[PhiSolutionSpace]:
+    """Solve 2 d_a g = sides[a], lap(g) = 0 and lap(h) = 0, with g = h = 0
+    for the generic source.  The system splits into a g block and an h
+    block.  g is fixed up to a constant by its gradient: take the potential
+    of sides / 2 that vanishes at the origin, where by Euler's formula a
+    term c*m of degree k in sides[a] adds c / (2 (k + 1)) * x_a * m.  h is
+    any harmonic polynomial.  The constant of g and the harmonic basis are
+    the free columns of the whole system's reduced echelon form, so this is
+    exact_solve's particular solution and nullspace."""
+    terms: Dict[Monomial, Fraction] = {}
+    for axis, side in zip(("x", "y", "z"), sides):
+        for mono, value in side.terms.items():
+            _add_term(terms, _bump(mono, (_INDEX[axis], 1)), Fraction(value, 2 * (sum(mono) + 1)))
+    g = JetPolynomial(terms)
+    if (
+        any(2 * g.partial(axis) != side for axis, side in zip(("x", "y", "z"), sides))
+        or not _laplacian(g).is_zero()
+        or any(sum(mono) > max_degree for mono in g.terms)
+    ):
+        return None
+    zero = JetPolynomial.zero()
+    if f_mode == "generic":
+        return PhiSolutionSpace((zero, zero), ()) if g.is_zero() else None
+    return PhiSolutionSpace(
+        (g, zero), ((ONE, zero),) + tuple((zero, h) for h in _harmonic_basis(max_degree))
+    )
 
 
 def solve_phi_for_xi(
@@ -558,11 +536,8 @@ def solve_phi_for_xi(
     leaves xi with divergence-free axis behaviour.  Returns None when the
     system is inconsistent (no admissible phi at all).
 
-    Only the right-hand sides lap(xi_a) depend on xi.  The system itself is
-    reduced once per mode and cap and kept; each call maps its right-hand
-    side through the stored row transform.  By uniqueness of the reduced
-    echelon form, the particular solution and the basis are those of
-    exact_solve on the whole system.
+    Only the right-hand sides lap(xi_a) depend on xi; the harmonic part of
+    the basis depends on the cap alone and is kept once per cap.
     """
     if isinstance(max_degree, bool) or not isinstance(max_degree, numbers.Integral):
         raise ValueError(f"degree cap must be an integer, got {max_degree!r}")
@@ -580,24 +555,9 @@ def solve_phi_for_xi(
         pure.append(xi3.partial("z"))
     if any(not p.is_zero() for p in pure):
         return None
-
-    system = _phi_system(f_mode, int(max_degree))
-    particular = system.particular({
-        (index, mono): value
-        for index, component in enumerate((xi1, xi2, xi3))
-        for mono, value in _laplacian(component).terms.items()
-    })
-    if particular is None:
-        return None
-    monomials = system.monomials
-    nmono = len(monomials)
-
-    def unpack(vec) -> Tuple[JetPolynomial, JetPolynomial]:
-        g = JetPolynomial({m: c for m, c in zip(monomials, vec[:nmono]) if c})
-        h = JetPolynomial({m: c for m, c in zip(monomials, vec[nmono:]) if c})
-        return g, h
-
-    return PhiSolutionSpace(unpack(particular), tuple(unpack(v) for v in system.nullspace))
+    return _solve_phi_blocks(
+        [_laplacian(component) for component in (xi1, xi2, xi3)], f_mode, int(max_degree)
+    )
 
 
 def field_from_phi(xi: Sequence[JetPolynomial], g: JetPolynomial, h: JetPolynomial) -> PointVectorField:

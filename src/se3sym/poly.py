@@ -4,11 +4,12 @@ A polynomial is a dict from exponent tuples (one entry per name in the
 class's VARIABLES) to nonzero ints or Fractions: a coefficient enters as an
 int where it is integral, so most arithmetic stays on Python ints.  An
 integral Fraction that arithmetic leaves behind equals, hashes and prints
-as its int, so it is not rewritten.  Subclasses name their variables
-and may rewrite monomials into a normal form by overriding _accumulate;
-everything else - the ring operations, equality, hashing and the printer -
-lives here once.  Printing orders monomials by total degree, then by
-exponent tuple, both descending, so equal polynomials print identically.
+as its int, so it is not rewritten.  Subclasses name their variables and
+may rewrite monomials into a normal form by overriding _canonical, which
+every result passes through; everything else - the ring operations,
+equality, hashing and the printer - lives here once.  Printing orders
+monomials by total degree, then by exponent tuple, both descending, so
+equal polynomials print identically.
 """
 
 from __future__ import annotations
@@ -39,20 +40,12 @@ class SparsePoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Terms] = None):
-        store: Terms = {}
-        for key, value in (terms or {}).items():
-            self._accumulate(store, key, _coefficient(value))
-        self.terms = {k: v for k, v in store.items() if v}
-
-    @staticmethod
-    def _accumulate(store: Terms, key: Monomial, value: Coefficient) -> None:
-        """Add value * key to store; the hook for a normal-form rewrite."""
-        old = store.get(key)
-        store[key] = value if old is None else old + value
+        store = {k: _coefficient(v) for k, v in (terms or {}).items()}
+        self.terms = self._canonical(store).terms
 
     @classmethod
     def _canonical(cls, store: Terms):
-        """Wrap a store whose keys are already in normal form."""
+        """Wrap a store, dropping zero terms; the hook for a normal-form rewrite."""
         poly = object.__new__(cls)
         poly.terms = {k: v for k, v in store.items() if v}
         return poly
@@ -118,16 +111,11 @@ class SparsePoly:
             value = _coefficient(other)
             return self._canonical({k: v * value for k, v in self.terms.items()})
         prod: Terms = {}
-        if type(self)._accumulate is SparsePoly._accumulate:
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    key = tuple(map(add, m1, m2))
-                    old = prod.get(key)
-                    prod[key] = c1 * c2 if old is None else old + c1 * c2
-        else:
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    self._accumulate(prod, tuple(map(add, m1, m2)), c1 * c2)
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                key = tuple(map(add, m1, m2))
+                old = prod.get(key)
+                prod[key] = c1 * c2 if old is None else old + c1 * c2
         return self._canonical(prod)
 
     __rmul__ = __mul__

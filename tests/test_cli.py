@@ -251,9 +251,9 @@ def test_prolong_custom_field():
 
 
 def test_prolong_malformed_field():
-    for spec in ("z;0", "1/0;0;0;0", "2 3;0;0;0", "x y;0;0;0", "x +;0;0;0"):
-        status, _ = _run(["prolong", "--field", spec])
-        assert status == 2
+    for spec in ("z;0", "1/0;0;0;0", "2 3;0;0;0", "x y;0;0;0", "x +;0;0;0", "x**2;0;0;0"):
+        status, out = _run(["prolong", "--field", spec])
+        assert status == 2 and out == "", spec
 
 
 def test_verify_solutions_family():

@@ -182,6 +182,12 @@ def test_parser_round_trip_random(p):
     assert JetPolynomial.parse(str(p)) == p
 
 
+@pytest.mark.parametrize("text", ["x**2", "2**3", "*x", "x - * y"])
+def test_parser_rejects_a_star_where_a_factor_is_expected(text):
+    with pytest.raises(ValueError, match="where a factor is expected"):
+        JetPolynomial.parse(text)
+
+
 # ---------------------------------------------------------------------------
 # prolongation
 # ---------------------------------------------------------------------------
@@ -403,7 +409,7 @@ PHI_CASES = [(f"rigid_{i}", rigid_basis_field(i).xi(), True, True) for i in rang
 ]
 
 
-@pytest.mark.parametrize("cap", (2, 3, 4))
+@pytest.mark.parametrize("cap", (2, 3, 4, 5))
 @pytest.mark.parametrize("f_mode", ("zero", "generic"))
 def test_cached_phi_system_members_solve_the_defining_rows(f_mode, cap):
     for label, xi, zero_ok, generic_ok in PHI_CASES:
@@ -422,7 +428,7 @@ def test_cached_phi_system_members_solve_the_defining_rows(f_mode, cap):
 
 def _direct_phi_rows(monomials, f_mode):
     """Every row (equation, monomial) of the phi-system, one per monomial of
-    degree <= cap, built without the cache: the reference for it."""
+    degree <= cap, built as one matrix: the reference for the block solver."""
     units = [JetPolynomial({m: Fraction(1)}) for m in monomials]
     lap = lambda p: sum((p.partial(v).partial(v) for v in "xyz"), ZERO)
     ops = [(lambda p, v=v: 2 * p.partial(v), None) for v in "xyz"] + [(lap, None), (None, lap)]
@@ -439,33 +445,54 @@ def _direct_phi_rows(monomials, f_mode):
 @pytest.mark.parametrize("cap", (2, 3))
 @pytest.mark.parametrize("f_mode", ("zero", "generic"))
 def test_cached_phi_system_equals_direct_solve(f_mode, cap):
-    system = jets._phi_system(f_mode, cap)
-    assert system is jets._phi_system(f_mode, cap)
-    hash(system)  # tuples of ints, monomials and Fractions all the way down
-    rows = _direct_phi_rows(system.monomials, f_mode)
+    """The block solver against exact_solve on the whole system, for random
+    right-hand sides: sparse ones (mostly not gradients, some over the cap)
+    and gradients of harmonic polynomials, some of degree cap + 1, some
+    plus a non-harmonic monomial."""
+    monomials = jets._space_monomials(cap)
+    rows = _direct_phi_rows(monomials, f_mode)
     keys = list(rows)
+    harmonic = jets._harmonic_basis(cap)
+    assert harmonic is jets._harmonic_basis(cap)
+
+    def unpack(vec):
+        g = JetPolynomial(dict(zip(monomials, vec[: len(monomials)])))
+        h = JetPolynomial(dict(zip(monomials, vec[len(monomials):])))
+        return g, h
+
     rnd = random.Random(cap)
     outcomes = set()
-    for trial in range(40):
-        rhs = {}
-        for _ in range(rnd.randint(0, 4)):
-            index, mono = rnd.choice(keys)
-            if index < 3 and (sum(mono) < cap or trial % 4 == 0):
-                rhs[(index, mono)] = Fraction(rnd.randint(-5, 5) or 1, rnd.randint(1, 4))
-        direct = exact_solve(list(rows.values()), [rhs.get(k, 0) for k in keys])
-        assert system.particular(rhs) == (None if direct is None else list(direct[0]))
+    for trial in range(60):
+        if trial % 3 == 2:
+            members = jets._harmonic_basis(cap + 1) if trial % 9 == 8 else harmonic
+            g = sum((Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)) * p for p in members), ZERO)
+            if trial % 2:
+                g = g + JetPolynomial({rnd.choice(monomials): 1})
+            sides = [2 * g.partial(v) for v in "xyz"]
+        else:
+            sides = [ZERO, ZERO, ZERO]
+            for _ in range(rnd.randint(0, 4)):
+                index, mono = rnd.choice(keys)
+                if index < 3 and (sum(mono) < cap or trial % 4 == 0):
+                    value = Fraction(rnd.randint(-5, 5) or 1, rnd.randint(1, 4))
+                    sides[index] = sides[index] + JetPolynomial({mono: value})
+        rhs = [sides[index].terms.get(mono, 0) if index < 3 else 0 for index, mono in keys]
+        direct = exact_solve(list(rows.values()), rhs)
+        space = jets._solve_phi_blocks(sides, f_mode, cap)
+        assert (space is None) == (direct is None)
         if direct is not None:
-            assert system.nullspace == tuple(direct[1])
+            assert space.particular == unpack(direct[0])
+            assert space.basis == tuple(unpack(v) for v in direct[1])
         outcomes.add(direct is None)
     assert outcomes == {True, False}
 
 
 def test_solve_rejects_non_integer_caps_before_the_cache():
-    before = jets._phi_system.cache_info()
+    before = jets._harmonic_basis.cache_info()
     for cap in (2.0, True, 2.5, "2"):
         with pytest.raises(ValueError):
             solve_phi_for_xi((ZERO, ZERO, ZERO), "zero", cap)
-    assert jets._phi_system.cache_info() == before
+    assert jets._harmonic_basis.cache_info() == before
 
 
 # ---------------------------------------------------------------------------
