@@ -106,8 +106,8 @@ PUBLISHED_COMMUTATORS: Tuple[Tuple[Tuple[int, ...], ...], ...] = (
     (_E(2, -1), _E(1), _Z6, _E(5, -1), _E(4), _Z6),
 )
 
-# one-parameter adjoint matrices, rows = images of basis elements;
-# tokens: 1, s, -s, C, S, -S (absent entries are 0)
+# one-parameter adjoint matrices, rows = images of basis elements; entries
+# in the printed form of TrigPoly (absent entries are 0)
 PUBLISHED_ADJOINT_TOKENS: Dict[int, Dict[Tuple[int, int], str]] = {
     1: {(1, 1): "1", (2, 2): "1", (3, 3): "1", (4, 4): "1",
         (5, 3): "s", (5, 5): "1", (6, 2): "-s", (6, 6): "1"},
@@ -161,23 +161,11 @@ PUBLISHED_GENERATOR_FAMILY = (
 )
 
 
-_TOKEN_TRIG: Dict[str, TrigPoly] = {
-    "1": TrigPoly.constant(1),
-    "s": TrigPoly.symbol("s"),
-    "-s": -TrigPoly.symbol("s"),
-    "C": TrigPoly.symbol("C"),
-    "S": TrigPoly.symbol("S"),
-    "-S": -TrigPoly.symbol("S"),
-}
-
-
 def published_adjoint_matrix(i: int) -> Tuple[Tuple[TrigPoly, ...], ...]:
     tokens = PUBLISHED_ADJOINT_TOKENS[i]
+    entries = {token: TrigPoly.parse(token) for token in set(tokens.values())}
     return tuple(
-        tuple(
-            _TOKEN_TRIG[tokens[(r, c)]] if (r, c) in tokens else TrigPoly()
-            for c in range(1, DIM + 1)
-        )
+        tuple(entries[tokens[(r, c)]] if (r, c) in tokens else TrigPoly() for c in range(1, DIM + 1))
         for r in range(1, DIM + 1)
     )
 

@@ -3,6 +3,7 @@
 Polynomials carry rational coefficients over the point variables x, y, z, u,
 the jet coordinates u_x .. u_zz, and the opaque source atoms f, f', f''
 (formal symbols differentiated by the rule d/du f = f', d/du f' = f'').
+Their ring, printer and reader are poly.SparsePoly's; this module adds calculus.
 The source function itself is never given a shape: an identity that must
 hold "for every source" becomes a polynomial identity in the atoms.
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import numbers
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -116,10 +116,6 @@ class JetPolynomial(SparsePoly):
                 _add_term(out, tuple(map(add, base, rmono)), coeff * rcoeff)
         return self._canonical(out)
 
-    @classmethod
-    def parse(cls, text: str) -> "JetPolynomial":
-        return _parse_polynomial(text)
-
 
 _SOURCE_CHAIN = ((_INDEX["f"], _INDEX["f'"]), (_INDEX["f'"], _INDEX["f''"]))
 
@@ -157,90 +153,6 @@ x, y, z, u = (JetPolynomial.variable(n) for n in ("x", "y", "z", "u"))
 f_atom = JetPolynomial.variable("f")
 f_prime = JetPolynomial.variable("f'")
 ONE = JetPolynomial.constant(1)
-
-
-# ---------------------------------------------------------------------------
-# parser for the printed form
-# ---------------------------------------------------------------------------
-
-_TOKEN = re.compile(r"\s*(u_[xyz]{2}|u_[xyz]|f''|f'|f|[xyzu]|\d+|[-+*/^])")
-
-
-def _tokenize(text: str) -> List[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"cannot read polynomial near {text[pos:pos+12]!r}")
-        tokens.append(match.group(1))
-        pos = match.end()
-    return tokens
-
-
-def _parse_polynomial(text: str) -> JetPolynomial:
-    """Parse the printed polynomial form (signed sums of monomials)."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty polynomial text")
-    result = JetPolynomial.zero()
-    pos = 0
-
-    def parse_term(start: int) -> Tuple[JetPolynomial, int]:
-        idx = start
-        term = JetPolynomial.constant(1)
-        expect_factor = True
-        while idx < len(tokens):
-            token = tokens[idx]
-            if token in "+-" and not expect_factor:
-                break
-            if token == "*":
-                if expect_factor:
-                    raise ValueError("'*' where a factor is expected in polynomial text")
-                idx += 1
-                expect_factor = True
-                continue
-            if not expect_factor and (token.isdigit() or token in _INDEX):
-                raise ValueError(f"missing '*' before {token!r} in polynomial text")
-            if token.isdigit():
-                value = int(token)
-                if idx + 2 < len(tokens) and tokens[idx + 1] == "/" and tokens[idx + 2].isdigit():
-                    if int(tokens[idx + 2]) == 0:
-                        raise ValueError(f"zero denominator in {token}/{tokens[idx + 2]}")
-                    value = Fraction(int(token), int(tokens[idx + 2]))
-                    idx += 2
-                term = term * value
-                idx += 1
-                expect_factor = False
-                continue
-            if token in _INDEX:
-                factor = JetPolynomial.variable(token)
-                idx += 1
-                if idx + 1 < len(tokens) and tokens[idx] == "^" and tokens[idx + 1].isdigit():
-                    factor = factor ** int(tokens[idx + 1])
-                    idx += 2
-                term = term * factor
-                expect_factor = False
-                continue
-            raise ValueError(f"unexpected token {token!r} in polynomial text")
-        if expect_factor:
-            raise ValueError("polynomial text ends a term without a factor")
-        return term, idx
-
-    sign = 1
-    while pos < len(tokens):
-        if tokens[pos] == "+":
-            sign = 1
-            pos += 1
-        elif tokens[pos] == "-":
-            sign = -1
-            pos += 1
-        term, pos = parse_term(pos)
-        result = result + sign * term
-        sign = 1
-    return result
 
 
 # ---------------------------------------------------------------------------

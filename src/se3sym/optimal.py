@@ -144,6 +144,13 @@ def pitch_of(x: AlgebraElement) -> Optional[float]:
     return translation_dot(x) / wsq
 
 
+def _exact_pitch(x: AlgebraElement) -> Optional[Fraction]:
+    """The orbit of span(x) for an exact nonzero x, from the invariant forms
+    |w|^2 and v.w: None for a translation, else the pitch v.w / |w|^2."""
+    wsq = sum(c * c for c in x.w)
+    return sum(a * b for a, b in zip(x.v, x.w)) / wsq if wsq else None
+
+
 # ---------------------------------------------------------------------------
 # helpers of the normalizers: those that take coordinates accept one element,
 # shape (6,), as canonicalize_screw passes it, or one element per row, shape
@@ -434,14 +441,16 @@ def proportionality_scale(
 def equivalence_search(x: AlgebraElement, y: AlgebraElement) -> Optional[AdjointWord]:
     """Word w with Ad_w(x) proportional to y, or None.
 
-    Screw invariants are compared first: kinds must agree and, for screws,
-    the pitches (scale-free invariants) must match.  When they do, the
-    canonicalization words of both sides compose into an explicit witness,
-    checked at unit scale by unit_proportionality.  Canonicalizing x / max|x|
-    gives the words and pitch of x, and no scale that could overflow.
+    Screw invariants are compared first, exactly where both sides are exact:
+    kinds must agree and, for screws, the pitches (scale-free) must match.
+    When they do, the words canonicalizing both sides compose into a
+    witness, checked at unit scale by unit_proportionality; canonicalizing
+    x / max|x| gives the words and pitch of x, and no scale to overflow.
     """
     if x.is_zero() or y.is_zero():
         raise ValueError("equivalence is defined for nonzero elements")
+    if x.tower == y.tower == "exact" and _exact_pitch(x) != _exact_pitch(y):
+        return None
     sx = canonicalize_screw(AlgebraElement.numeric(_unit(x)[0]))
     sy = canonicalize_screw(AlgebraElement.numeric(_unit(y)[0]))
     if sx.kind != sy.kind:

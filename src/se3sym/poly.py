@@ -7,13 +7,14 @@ integral Fraction that arithmetic leaves behind equals, hashes and prints
 as its int, so it is not rewritten.  Subclasses name their variables and
 may rewrite monomials into a normal form by overriding _canonical, which
 every result passes through; everything else - the ring operations,
-equality, hashing and the printer - lives here once.  Printing orders
-monomials by total degree, then by exponent tuple, both descending, so
-equal polynomials print identically.
+equality, hashing, the printer and its reader - lives here once.  Printing
+orders monomials by total degree, then by exponent tuple, both descending,
+so equal polynomials print identically, and parse reads that form back.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from operator import add
 from typing import Dict, Optional, Tuple, Union
@@ -21,6 +22,10 @@ from typing import Dict, Optional, Tuple, Union
 Monomial = Tuple[int, ...]
 Coefficient = Union[int, Fraction]
 Terms = Dict[Monomial, Coefficient]
+
+# after blanks: an integer, a name (a letter, then letters and '_', then
+# primes: u_xy, f'') or an operator; group 1 is None for any other character
+_LEXEME = re.compile(r"\s*(?:(\d+|[^\W\d_][^\W\d]*'*|[-+*/^])|\S)")
 
 
 def _coefficient(value) -> Coefficient:
@@ -172,3 +177,66 @@ class SparsePoly:
         return text
 
     __repr__ = __str__
+
+    @classmethod
+    def parse(cls, text: str):
+        """Read back the form __str__ prints; over tokens that blanks may
+        separate, with NAME one of VARIABLES:
+
+            poly   := [sign] term {sign term}        sign := "+" | "-"
+            term   := factor {"*" factor}
+            factor := INT ["/" INT] | NAME ["^" INT]
+
+        A ValueError names the first unreadable character, else the first
+        token out of place."""
+        tokens = []
+        for match in _LEXEME.finditer(text):
+            if match[1] is None:
+                raise ValueError(f"cannot read polynomial near {text[match.start():][:12]!r}")
+            tokens.append(match[1])
+        if not tokens:
+            raise ValueError("empty polynomial text")
+        tokens += [""] * 3  # the end, and room to look two tokens past it
+        index = {name: i for i, name in enumerate(cls.VARIABLES)}
+        store: Terms = {}
+        pos = 0
+        while tokens[pos]:
+            sign = -1 if tokens[pos] == "-" else 1
+            pos += tokens[pos] in ("+", "-")
+            coefficient, key, pos = _read_term(tokens, pos, index)
+            if coefficient:
+                total = store[key] = store.get(key, 0) + sign * coefficient
+                if not total:
+                    del store[key]
+        return cls._canonical(store)
+
+
+def _read_term(tokens, pos: int, index: Dict[str, int]):
+    """term := factor {"*" factor} from tokens[pos]: (coefficient, exponents, end)."""
+    coefficient, key = 1, [0] * len(index)
+    while True:
+        token, follow, ahead = tokens[pos:pos + 3]
+        if token.isdecimal():
+            value = int(token)
+            if follow == "/" and ahead.isdecimal():
+                if not int(ahead):
+                    raise ValueError(f"zero denominator in {token}/{ahead}")
+                value, pos = Fraction(value, int(ahead)), pos + 2
+            coefficient = coefficient * _coefficient(value)
+        elif token in index:
+            raised = follow == "^" and ahead.isdecimal()
+            key[index[token]] += int(ahead) if raised else 1
+            pos += 2 * raised
+        elif token == "*":
+            raise ValueError("'*' where a factor is expected in polynomial text")
+        elif not token:
+            raise ValueError("polynomial text ends a term without a factor")
+        else:
+            raise ValueError(f"unexpected token {token!r} in polynomial text")
+        follow = tokens[pos + 1]
+        if follow in ("+", "-", ""):
+            return coefficient, tuple(key), pos + 1
+        if follow != "*":
+            fault = "missing '*' before" if follow.isdecimal() or follow in index else "unexpected token"
+            raise ValueError(f"{fault} {follow!r} in polynomial text")
+        pos += 2

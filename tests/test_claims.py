@@ -8,13 +8,14 @@ import pytest
 from se3sym.claims import (
     CONFIRMED,
     DISCREPANCY,
+    PUBLISHED_ADJOINT_TOKENS,
     PUBLISHED_COMMUTATORS,
     _claim_one_dim,
     claims_report,
     gaussian_sweep,
     published_adjoint_matrix,
 )
-from se3sym.adjoint import closed_form
+from se3sym.adjoint import TrigPoly, closed_form
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "check_claims_seed42.json"
@@ -76,6 +77,24 @@ def test_adjoint_x4_mismatch_is_exactly_the_third_row_sign(report):
 def test_published_adjoint_fixture_matches_for_other_generators():
     for i in (1, 2, 3, 5, 6):
         assert closed_form(i).entries == published_adjoint_matrix(i)
+
+
+def test_published_adjoint_matrices_read_the_printed_tokens():
+    """Each printed token read by TrigPoly.parse is the polynomial it names,
+    built from the ring operations, coefficient types included; absent
+    entries are the zero polynomial."""
+    s, c, sn = (TrigPoly.symbol(n) for n in ("s", "C", "S"))
+    named = {"1": TrigPoly.constant(1), "s": s, "-s": -s, "C": c, "S": sn, "-S": -sn}
+    for i, tokens in PUBLISHED_ADJOINT_TOKENS.items():
+        want = [
+            [named[tokens[(r, k)]] if (r, k) in tokens else TrigPoly() for k in range(1, 7)]
+            for r in range(1, 7)
+        ]
+        got = published_adjoint_matrix(i)
+        assert [[list(e.terms.items()) for e in row] for row in got] == [
+            [list(e.terms.items()) for e in row] for row in want
+        ]
+        assert all(type(v) is int for row in got for e in row for v in e.terms.values())
 
 
 def test_two_dim_witness_recorded(report):

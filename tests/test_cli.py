@@ -6,6 +6,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from se3sym.cli import main
 from test_claims import _assert_matches_golden
@@ -226,6 +228,28 @@ def test_equiv_inequivalent_pair():
     assert payload["equivalent"] is False and payload["word"] is None
 
 
+@pytest.mark.parametrize(
+    "x, y, multiple",
+    [
+        # exact pitches 1e-10 and 0, which agree within the float tolerance
+        ("0,0,1/10000000000,0,0,1", "0,0,0,0,0,1", "0,0,-3/10000000000,0,0,-3"),
+        ("0,0,0,0,0,1", "0,0,1/10000000000,0,0,1", "0,0,0,0,0,2"),
+        # pitches (1 + 1e-12) / 9 and 1 / 9, at different scales
+        ("0,0,1000000000001/3000000000000,0,0,3", "0,0,2/9,0,0,2", "0,0,1000000000001/1500000000000,0,0,6"),
+    ],
+)
+def test_equiv_decides_exact_input_by_its_exact_pitch(x, y, multiple):
+    status, out = _run(["equiv", "--x", x, "--y", y])
+    assert status == 0
+    payload = json.loads(out)
+    _validate(payload, "equiv.json")
+    assert payload == {"equivalent": False, "word": None, "scale": None}
+    # a multiple of x has x's exact pitch and stays equivalent, with a witness
+    status, out = _run(["equiv", "--x", x, "--y", multiple])
+    assert status == 0
+    assert json.loads(out)["equivalent"] is True
+
+
 def test_prolong_named_field():
     status, out = _run(["prolong", "--field", "X5"])
     assert status == 0
@@ -253,6 +277,51 @@ def test_prolong_custom_field():
 def test_prolong_malformed_field():
     for spec in ("z;0", "1/0;0;0;0", "2 3;0;0;0", "x y;0;0;0", "x +;0;0;0", "x**2;0;0;0"):
         status, out = _run(["prolong", "--field", spec])
+        assert status == 2 and out == "", spec
+
+
+# --field specs: 4 ';'-separated parts, sometimes 3 or 5; a part is a
+# signed sum of products of x, y, z, u, integers of up to 30 digits, powers
+# with large exponents and quotients, or such a sum with a fault: a
+# near-name, a zero denominator, '**', juxtaposition, a stray sign, a
+# blank or a comma
+_INTEGERS = st.integers(min_value=0, max_value=10**30 - 1).map(str)
+
+
+def _sums(names, denominators):
+    factors = st.one_of(
+        names,
+        _INTEGERS,
+        st.builds("{}^{}".format, names, st.integers(min_value=0, max_value=10**12)),
+        st.builds("{}/{}".format, _INTEGERS, denominators),
+    )
+    products = st.lists(factors, min_size=1, max_size=3).map("*".join)
+    signed = st.builds("{}{}".format, st.sampled_from([" + ", " - ", "-"]), products)
+    return st.builds(
+        "{}{}{}".format, st.sampled_from(["", "-", " - "]), products, st.lists(signed, max_size=2).map("".join)
+    )
+
+
+_CLEAN = _sums(st.sampled_from(["x", "y", "z", "u"]), st.integers(min_value=1, max_value=99))
+_FAULTY = st.one_of(
+    _sums(st.sampled_from(["u_x", "u_yx", "u_", "xy", "f'", "X1", "w"]), st.integers(0, 9)),
+    _sums(st.sampled_from(["x", "u"]), st.just(0)),
+    st.builds("{}{}{}".format, _CLEAN, st.sampled_from(["**", " ", "", "^", "+", ",", "  - "]), _CLEAN),
+)
+_FIELD_SPECS = st.builds(
+    lambda parts, k: ";".join(parts[: 3 if k > 89 else 5 if k > 79 else 4]),
+    st.lists(st.one_of(_CLEAN, _CLEAN, _CLEAN, _FAULTY), min_size=5, max_size=5),
+    st.integers(min_value=0, max_value=99),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_FIELD_SPECS)
+def test_prolong_field_gives_a_valid_payload_or_a_usage_error(spec):
+    status, out = _run(["prolong", f"--field={spec}"])
+    if status == 0:
+        _validate(json.loads(out), "prolong.json")
+    else:
         assert status == 2 and out == "", spec
 
 

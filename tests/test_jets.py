@@ -33,6 +33,7 @@ from se3sym.adjoint import TrigPoly
 from se3sym.claims import PUBLISHED_GENERATOR_FAMILY
 from se3sym.algebra import SE3
 from se3sym.linalg import exact_solve
+from se3sym.poly import SparsePoly
 
 u_x = JetPolynomial.variable("u_x")
 u_y = JetPolynomial.variable("u_y")
@@ -182,10 +183,54 @@ def test_parser_round_trip_random(p):
     assert JetPolynomial.parse(str(p)) == p
 
 
+@given(trig_polys)
+def test_trig_parser_round_trip_random(p):
+    assert TrigPoly.parse(str(p)) == p
+
+
+def test_both_rings_read_with_the_core_parser():
+    assert JetPolynomial.parse.__func__ is SparsePoly.parse.__func__
+    assert TrigPoly.parse.__func__ is SparsePoly.parse.__func__
+    assert not hasattr(jets, "re")
+
+
 @pytest.mark.parametrize("text", ["x**2", "2**3", "*x", "x - * y"])
 def test_parser_rejects_a_star_where_a_factor_is_expected(text):
     with pytest.raises(ValueError, match="where a factor is expected"):
         JetPolynomial.parse(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty polynomial text"),
+        (" \t ", "empty polynomial text"),
+        ("x + #", "cannot read polynomial near ' #'"),
+        ("sin(x)", "cannot read polynomial near '(x)'"),
+        ("_x", "cannot read polynomial near '_x'"),
+        ("* x", "'*' where a factor is expected in polynomial text"),
+        # a run of letters is one name, reported whole where it is no variable
+        ("xy", "unexpected token 'xy' in polynomial text"),
+        ("u_yx", "unexpected token 'u_yx' in polynomial text"),
+        ("u_", "unexpected token 'u_' in polynomial text"),
+        ("f'''", "unexpected token \"f'''\" in polynomial text"),
+        ("2^3", "unexpected token '^' in polynomial text"),
+        ("x/2", "unexpected token '/' in polynomial text"),
+        ("x^y", "unexpected token '^' in polynomial text"),
+        ("x - - y", "unexpected token '-' in polynomial text"),
+        ("2 x", "missing '*' before 'x' in polynomial text"),
+        ("x2", "missing '*' before '2' in polynomial text"),
+        ("1/0", "zero denominator in 1/0"),
+        ("3/00*x", "zero denominator in 3/00"),
+        ("x +", "polynomial text ends a term without a factor"),
+        ("+", "polynomial text ends a term without a factor"),
+        ("x*", "polynomial text ends a term without a factor"),
+    ],
+)
+def test_parser_rejects_each_fault_by_its_message(text, message):
+    with pytest.raises(ValueError) as info:
+        JetPolynomial.parse(text)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

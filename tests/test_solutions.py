@@ -262,10 +262,21 @@ def test_array_stencil_matches_the_literal_stencil():
 def test_blocked_draws_equal_one_draw():
     samples = 2 * SAMPLE_BLOCK + 37
     points = np.random.default_rng(6).uniform(-0.9, 0.9, size=(samples, 3))
-    field = FIELDS["exp_x"]
+    # h = -|q - c|^4 / 20 has laplacian -|q - c|^2 (central differences add
+    # only a constant for a quartic), so against the source -16 the residual
+    # of g6(-0.7).h is 16 - |q - c|^2 at the moved point q: largest, by far
+    # more than rounding, where q = c, the image of the last drawn row
+    c = rigid_motion(6, -0.7, *points[-1])
+
+    def bowl(px, py, pz):
+        d2 = (px - c[0]) * (px - c[0]) + (py - c[1]) * (py - c[1]) + (pz - c[2]) * (pz - c[2])
+        return -d2 * d2 / 20
+
+    field = ScalarField(bowl, "-|p - c|^4 / 20", SourceTerm.constant(-16.0))
     rows = np.abs(pde_residual(transform_solution(6, -0.7, field), field.source, points, 1e-3))
     # the largest residual lies past the first block, so later blocks count
-    assert rows.argmax() >= SAMPLE_BLOCK
+    assert rows.argmax() == samples - 1
+    assert rows[-1] - np.delete(rows, -1).max() > 1e-6
     for n in (SAMPLE_BLOCK, SAMPLE_BLOCK + 1, samples):
         assert verify_invariance(field, field.source, 6, -0.7, n, 6) == rows[:n].max()
 
