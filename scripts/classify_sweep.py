@@ -59,7 +59,7 @@ def main() -> None:
     for tag, count in sorted(Counter(batch.case_tags.tolist()).items()):
         print(f"case {tag}               {count}")
     print(f"geometric fallbacks      {int(batch.fallback.sum())}")
-    print(f"max disallowed coord     {batch.disallowed().max():.3e}")
+    print(f"max disallowed coord     {batch.disallowed.max():.3e}")
     print(f"max word residual        {worst_word:.3e}")
     print(f"max pitch disagreement   {worst_pitch_gap:.3e}")
     print(f"batch elapsed            {elapsed:.3f}s")

@@ -27,6 +27,7 @@ from .algebra import (
     DIM,
     SE3,
     AlgebraElement,
+    Scalar,
     SubalgebraBasis,
     X1,
     X2,
@@ -55,8 +56,6 @@ CASE_ALLOWED: Dict[str, Tuple[int, ...]] = {
     "A16": (1, 3, 4),
     "A17": (2, 3, 5),
 }
-
-CASES_WITH_A = frozenset({"A15", "A16", "A17"})
 
 
 class ScrewForm(NamedTuple):
@@ -94,8 +93,9 @@ class OneDimBatch(NamedTuple):
     """The seven-case normalization of many elements, held as arrays.
 
     Row i of every array belongs to row i of the input; a is NaN where the
-    case has no a.  steps lists (generator, one parameter per row): a row
-    whose word skips a step holds 0 there, which is the identity, so
+    case has no a; disallowed is the residual that the pattern test of the
+    row's case measured.  steps lists (generator, one parameter per row): a
+    row whose word skips a step holds 0 there, which is the identity, so
     replaying every step in order applies each row's word to its own row.
     """
 
@@ -105,6 +105,7 @@ class OneDimBatch(NamedTuple):
     scale: np.ndarray
     fallback: np.ndarray
     representatives: np.ndarray
+    disallowed: np.ndarray
     steps: Tuple[Tuple[int, np.ndarray], ...]
 
     def word(self, i: int) -> AdjointWord:
@@ -115,7 +116,7 @@ class OneDimBatch(NamedTuple):
         tag = str(self.case_tags[i])
         return OneDimRepresentative(
             tag,
-            float(self.a[i]) if tag in CASES_WITH_A else None,
+            None if math.isnan(self.a[i]) else float(self.a[i]),
             float(self.b[i]),
             self.word(i),
             float(self.scale[i]),
@@ -127,28 +128,16 @@ class OneDimBatch(NamedTuple):
         """Ad(word(i)) of row i of coords, for every row."""
         return _apply_steps(self.steps, coords)
 
-    def disallowed(self) -> np.ndarray:
-        """Largest |coordinate| outside its case pattern, per representative."""
-        out = np.zeros(len(self.scale))
-        for tag in CASE_TAGS:
-            rows = self.case_tags == tag
-            out[rows] = np.abs(self.representatives[rows][:, _disallowed(tag)]).max(axis=1)
-        return out
 
-
-def pitch_of(x: AlgebraElement) -> Optional[float]:
-    """Translation advance per unit rotation, v.w / |w|^2; None if w = 0."""
-    wsq = omega_norm_sq(x)
-    if wsq == 0.0:
-        return None
-    return translation_dot(x) / wsq
-
-
-def _exact_pitch(x: AlgebraElement) -> Optional[Fraction]:
-    """The orbit of span(x) for an exact nonzero x, from the invariant forms
-    |w|^2 and v.w: None for a translation, else the pitch v.w / |w|^2."""
-    wsq = sum(c * c for c in x.w)
-    return sum(a * b for a, b in zip(x.v, x.w)) / wsq if wsq else None
+def pitch_of(x: AlgebraElement) -> Optional[Scalar]:
+    """Translation advance per unit rotation, v.w / |w|^2, from the two
+    Ad-invariant forms: the orbit of span(x), None for a translation.  A
+    Fraction for exact x, a float for float x."""
+    if x.tower == "exact":
+        wsq, dot = sum(c * c for c in x.w), sum(a * b for a, b in zip(x.v, x.w))
+    else:
+        wsq, dot = omega_norm_sq(x), translation_dot(x)
+    return dot / wsq if wsq else None
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +147,14 @@ def _exact_pitch(x: AlgebraElement) -> Optional[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _unit(x: AlgebraElement) -> Tuple[np.ndarray, float]:
-    """Coordinates of x divided by m = max |coordinate|, and m.
+def _unit(coords: np.ndarray):
+    """coords divided by m = max |coordinate| of each element, and m.
 
     Normal forms are projective: each normalizer works on x / m and folds
     1 / m into its scale, so nothing overflows or underflows on the way.
     """
-    coords = x.as_array()
-    m = float(np.abs(coords).max())
-    return coords / m, m
+    m = np.abs(coords).max(axis=-1)
+    return coords / m[..., None], m
 
 
 def _scale(unit_scale, m, coords: np.ndarray):
@@ -193,11 +181,6 @@ def _apply_steps(steps, coords: np.ndarray) -> np.ndarray:
 
 def _word(steps) -> AdjointWord:
     return AdjointWord(tuple((index, float(p)) for index, p in steps)).simplified()
-
-
-def _disallowed(tag: str) -> List[int]:
-    """0-based coordinates that the case pattern of tag requires to vanish."""
-    return [i - 1 for i in range(1, DIM + 1) if i not in CASE_ALLOWED[tag]]
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +219,7 @@ def canonicalize_screw(x: AlgebraElement) -> ScrewForm:
     ValueError where the scale overflows float64."""
     if x.is_zero():
         raise ValueError("cannot canonicalize the zero element")
-    unit, m = _unit(x)
+    unit, m = _unit(x.as_array())
     translation = bool(_is_translation(unit))
     steps, moved, _ = _screw_steps(unit, translation)
     scale = float(_scale(1.0 / (_norm3(unit[:3]) if translation else moved[5]), m, x.as_array()))
@@ -301,22 +284,26 @@ def _published_recipe(coords: Sequence[float]) -> Optional[AdjointWord]:
 def _normalize_to_case(coords: np.ndarray, tag: str):
     """Scale so the leading allowed coordinate is 1 and check the pattern.
 
-    Returns (ok, scale, normalized coordinates, a, b); ok is False where the
-    pattern is not met or a required parameter degenerates, and a is NaN for
-    the cases without a.  a is the middle and b the last allowed coordinate
-    (b = 0 for A11, whose one allowed coordinate is the lead).
+    Returns (ok, scale, normalized coordinates, a, b, residual); ok is False
+    where the residual, the largest |coordinate| outside the pattern, is
+    not below PATTERN_TOL or a required parameter degenerates.  a is the
+    middle and b the last allowed coordinate: a is NaN where there are
+    fewer than three, and b = 0 for A11, whose one allowed coordinate is the
+    lead.
     """
     allowed = CASE_ALLOWED[tag]
     lead = coords[..., allowed[0] - 1]
     ok = np.abs(lead) > PATTERN_TOL * np.abs(coords).max(axis=-1)
     scale = 1.0 / np.where(ok, lead, 1.0)
     normalized = coords * scale[..., None]
-    ok &= np.abs(normalized[..., _disallowed(tag)]).max(axis=-1) < PATTERN_TOL
+    outside = [i for i in range(DIM) if i + 1 not in allowed]
+    residual = np.abs(normalized[..., outside]).max(axis=-1)
+    ok &= residual < PATTERN_TOL
     b = normalized[..., allowed[-1] - 1] if len(allowed) > 1 else np.zeros_like(lead)
-    if tag not in CASES_WITH_A:
-        return ok, scale, normalized, np.full_like(lead, np.nan), b
+    if len(allowed) < 3:
+        return ok, scale, normalized, np.full_like(lead, np.nan), b, residual
     a = normalized[..., allowed[1] - 1]
-    return ok & (np.abs(a) > PATTERN_TOL), scale, normalized, a, b
+    return ok & (np.abs(a) > PATTERN_TOL), scale, normalized, a, b, residual
 
 
 def classify_1d_paper(x: AlgebraElement) -> OneDimRepresentative:
@@ -348,14 +335,14 @@ def classify_1d_many(coords: np.ndarray) -> OneDimBatch:
         raise ValueError(f"expected an (n, {DIM}) array, got shape {coords.shape}")
     if not np.isfinite(coords).all():
         raise ValueError("non-finite coordinate")
-    m = np.abs(coords).max(axis=1)
-    if not m.all():
-        raise ValueError(f"cannot classify the zero element (row {int(np.argmin(m))})")
-    unit = coords / m[:, None]
+    nonzero = coords.any(axis=1)
+    if not nonzero.all():
+        raise ValueError(f"cannot classify the zero element (row {int(np.argmin(nonzero))})")
+    unit, m = _unit(coords)
     n = len(unit)
     tags = _case_tags(unit)
     out_tags = tags.copy()
-    a, b, scale = np.full(n, np.nan), np.zeros(n), np.zeros(n)
+    a, b, scale, disallowed = np.full(n, np.nan), np.zeros(n), np.zeros(n), np.zeros(n)
     fallback = np.ones(n, dtype=bool)
     done = np.zeros(n, dtype=bool)
     representatives = np.zeros((n, DIM))
@@ -363,10 +350,10 @@ def classify_1d_many(coords: np.ndarray) -> OneDimBatch:
 
     def accept(rows, tag, moved):
         """Take the rows whose moved coordinates meet the pattern of tag."""
-        ok, s, normalized, ca, cb = _normalize_to_case(moved, tag)
+        ok, s, normalized, ca, cb, residual = _normalize_to_case(moved, tag)
         kept = rows[ok]
         out_tags[kept] = tag
-        a[kept], b[kept], scale[kept] = ca[ok], cb[ok], s[ok]
+        a[kept], b[kept], scale[kept], disallowed[kept] = ca[ok], cb[ok], s[ok], residual[ok]
         representatives[kept] = normalized[ok]
         done[kept] = True
         return ok
@@ -408,7 +395,7 @@ def classify_1d_many(coords: np.ndarray) -> OneDimBatch:
                 f"{coords[row].tolist()}"
             )
     scale = _scale(scale, m, coords)
-    return OneDimBatch(out_tags, a, b, scale, fallback, representatives, tuple(steps))
+    return OneDimBatch(out_tags, a, b, scale, fallback, representatives, disallowed, tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +411,14 @@ def proportionality_scale(
     Both sides are compared at unit scale (divided by their largest absolute
     coordinate), so the verdict does not depend on the magnitude of either.
     """
-    mc, tc = mapped.as_array(), target.as_array()
-    m_max, t_max = float(np.abs(mc).max()), float(np.abs(tc).max())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        (mu, m_max), (tu, t_max) = _unit(mapped.as_array()), _unit(target.as_array())
     if not (0.0 < m_max < math.inf and 0.0 < t_max < math.inf):
         return None
-    mu, tu = mc / m_max, tc / t_max
     ratio = float(mu @ tu) / float(tu @ tu)
     if np.abs(mu - ratio * tu).max() > tol * max(1.0, abs(ratio)):
         return None
-    lam = ratio * (m_max / t_max)
+    lam = ratio * float(m_max / t_max)
     if lam == 0.0 or not math.isfinite(lam):
         return None
     return lam
@@ -449,10 +435,10 @@ def equivalence_search(x: AlgebraElement, y: AlgebraElement) -> Optional[Adjoint
     """
     if x.is_zero() or y.is_zero():
         raise ValueError("equivalence is defined for nonzero elements")
-    if x.tower == y.tower == "exact" and _exact_pitch(x) != _exact_pitch(y):
+    if x.tower == y.tower == "exact" and pitch_of(x) != pitch_of(y):
         return None
-    sx = canonicalize_screw(AlgebraElement.numeric(_unit(x)[0]))
-    sy = canonicalize_screw(AlgebraElement.numeric(_unit(y)[0]))
+    sx = canonicalize_screw(AlgebraElement.numeric(_unit(x.as_array())[0]))
+    sy = canonicalize_screw(AlgebraElement.numeric(_unit(y.as_array())[0]))
     if sx.kind != sy.kind:
         return None
     if sx.kind == "screw":
@@ -469,8 +455,8 @@ def unit_proportionality(
 ) -> Optional[float]:
     """proportionality_scale of Ad_word(x / max|x|) to y / max|y|: at unit
     scale the replay cannot overflow, nor the factor underflow."""
-    mapped = apply_word(word, AlgebraElement.numeric(_unit(x)[0]))
-    return proportionality_scale(mapped, AlgebraElement.numeric(_unit(y)[0]))
+    mapped = apply_word(word, AlgebraElement.numeric(_unit(x.as_array())[0]))
+    return proportionality_scale(mapped, AlgebraElement.numeric(_unit(y.as_array())[0]))
 
 
 # ---------------------------------------------------------------------------

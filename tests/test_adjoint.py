@@ -281,6 +281,37 @@ def test_orbit_invariants_preserved():
         assert abs(translation_dot(moved) - translation_dot(x)) < 1e-9
 
 
+# Gram matrices, as {(row, column): entry}, of quadratic forms x G x^T on
+# x = (v, w): the two forms optimal.pitch_of reads, and |v|^2, which is not
+# invariant
+_W_SQUARED = {(k, k): 1 for k in (3, 4, 5)}
+_TWICE_V_DOT_W = {**{(k, k + 3): 1 for k in range(3)}, **{(k + 3, k): 1 for k in range(3)}}
+_V_SQUARED = {(k, k): 1 for k in range(3)}
+
+
+def _form_is_invariant(gram, i):
+    """M G M^T == G exactly in the TrigPoly ring, M = closed_form(i): rows
+    are images, x -> x M, so the form x G x^T is Ad-invariant for every s
+    exactly when this holds."""
+    m = closed_form(i).entries
+    return all(
+        sum((m[a][k] * m[b][l] * c for (k, l), c in gram.items()), TrigPoly())
+        == TrigPoly.constant(gram.get((a, b), 0))
+        for a in range(DIM)
+        for b in range(DIM)
+    )
+
+
+def test_pitch_forms_are_invariant_exactly():
+    # |w|^2 and v.w decide the orbit of a 1-D subalgebra: the kind, and the
+    # pitch v.w / |w|^2
+    for i in range(1, 7):
+        assert _form_is_invariant(_W_SQUARED, i)
+        assert _form_is_invariant(_TWICE_V_DOT_W, i)
+    # the check is not vacuous: the translations change |v|^2
+    assert not any(_form_is_invariant(_V_SQUARED, i) for i in (1, 2, 3))
+
+
 def apply_rows(matrix, coeffs):
     """Row-vector action of a TrigPolyMatrix: image coordinates of
     sum_j coeffs[j] X_j."""

@@ -142,7 +142,7 @@ def test_one_dim_sweep_is_the_scripts_sweep(seed):
     _, sweep = gaussian_sweep(np.random.default_rng(seed), 2000)
     assert _claim_one_dim(seed).evidence["random_sweep"] == {
         "elements": 2000,
-        "max_disallowed_coordinate": float(sweep.disallowed().max()),
+        "max_disallowed_coordinate": float(sweep.disallowed.max()),
         "fallback_count": int(sweep.fallback.sum()),
     }
 

@@ -2,14 +2,19 @@ import io
 import json
 import math
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from se3sym.cli import main
+from se3sym.adjoint import AdjointWord, apply_word
+from se3sym.algebra import AlgebraElement
+from se3sym.cli import UsageError, _parse_vector, main
+from se3sym.optimal import pitch_of, proportionality_scale
 from test_claims import _assert_matches_golden
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
@@ -155,16 +160,19 @@ def test_classify_and_equiv_examples_match_the_golden():
     """classify stdout byte for byte, and equiv's verdict and word exactly,
     for the README examples, one element per case pattern, a translation, a
     zero-pitch element, an exact rational input, the extreme magnitudes and
-    the conjugacy pairs of the one-dim claim; recorded while the scalar and
-    the batched seven-case drivers still both existed."""
+    the conjugacy pairs of the one-dim claim, recorded while the scalar and
+    the batched seven-case drivers still both existed; then one input per
+    fallback kind, one only the raw case pattern accepts, signed zeros in
+    the output, and exact and mixed-tower equiv pairs, recorded before the
+    pitch, unit scale and pattern residual each got one definition."""
     golden = json.loads(EXAMPLES_GOLDEN.read_text())
     for example in golden["classify"]:
-        status, out = _run(["classify", "--vector", example["vector"]])
+        status, out = _run(["classify", f"--vector={example['vector']}"])
         assert status == 0
         _validate(json.loads(out), "classify.json")
         assert out.encode() == example["stdout"].encode(), example["vector"]
     for example in golden["equiv"]:
-        status, out = _run(["equiv", "--x", example["x"], "--y", example["y"]])
+        status, out = _run(["equiv", f"--x={example['x']}", f"--y={example['y']}"])
         assert status == 0
         payload, want = json.loads(out), example["payload"]
         _validate(payload, "equiv.json")
@@ -248,6 +256,142 @@ def test_equiv_decides_exact_input_by_its_exact_pitch(x, y, multiple):
     status, out = _run(["equiv", "--x", x, "--y", multiple])
     assert status == 0
     assert json.loads(out)["equivalent"] is True
+
+
+# an exact pure rotation (v.w = 0, pitch 0) about an axis ~9.3e6 from the
+# origin; the same axis ten times closer classifies and reads equivalent
+_FAR_AXIS = "-20000000,-20000000,20000000,1,2,3"
+_NEAR_AXIS = "-2000000,-2000000,2000000,1,2,3"
+
+
+def test_classify_and_equiv_of_a_rotation_off_the_origin():
+    status, out = _run(["classify", f"--vector={_NEAR_AXIS}"])
+    assert status == 0
+    _validate(json.loads(out), "classify.json")
+    status, out = _run(["equiv", f"--x={_NEAR_AXIS}", "--y=0,0,0,0,0,1"])
+    assert status == 0 and json.loads(out)["equivalent"] is True
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: far from the origin the screw canonical form misses "
+    "X_6 + pX_3 by more than PATTERN_TOL, and classify raises AssertionError",
+)
+def test_classify_of_a_rotation_far_from_the_origin():
+    status, out = _run(["classify", f"--vector={_FAR_AXIS}"])
+    assert status == 0
+    _validate(json.loads(out), "classify.json")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: both sides are exact with pitch 0, so conjugate, "
+    "but the float witness fails and equiv reads false",
+)
+def test_equiv_of_a_rotation_far_from_the_origin():
+    status, out = _run(["equiv", f"--x={_FAR_AXIS}", "--y=0,0,0,0,0,1"])
+    assert status == 0
+    assert json.loads(out)["equivalent"] is True
+
+
+# equiv sides: exact rationals, integers of up to 30 digits, signed floats
+# from 1e-320 to 1e308 with subnormals and zeros, screws whose pitch lies in
+# and around the band of ROADMAP item 1, and axes far from the origin; a
+# side is exact when every entry is, so drawing entries of both kinds gives
+# mixed towers
+_EXACT_ENTRIES = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.integers(-(10**30) + 1, 10**30 - 1).map(str),
+    st.builds("{}/{}".format, st.integers(-(10**12), 10**12), st.integers(1, 10**12)),
+)
+_FLOAT_ENTRIES = st.one_of(
+    st.builds(
+        "{}{}e{}".format, st.sampled_from(["", "-"]), st.floats(1, 9.99).map("{:.6f}".format), st.integers(-320, 307)
+    ),
+    st.sampled_from(["0.0", "-0.0", "5e-324", "4e-320", "2.2250738585072014e-308", "1.7976931348623157e308"]),
+    st.floats(-10, 10).map(repr),
+)
+
+
+def _screw(p, d, axis, offset, exact):
+    """(v, w) with w = axis and v = d u + p w, u the part of offset
+    perpendicular to w, as exact or float entries."""
+    w = [Fraction(c) for c in axis]
+    a = [Fraction(c) for c in offset]
+    dot = sum(x * y for x, y in zip(a, w)) / sum(x * x for x in w)
+    v = [d * (x - dot * y) + p * y for x, y in zip(a, w)]
+    return ",".join(str(c) if exact else repr(float(c)) for c in v + w)
+
+
+_AXES = st.lists(st.integers(-5, 5), min_size=3, max_size=3).filter(any)
+_STRUCTURED = st.builds(
+    _screw,
+    st.builds(
+        lambda sign, k, e: sign * Fraction(k, 10**e),
+        st.sampled_from([1, -1]),
+        st.integers(1, 99),
+        st.integers(4, 14),
+    ),
+    st.sampled_from([1, 10**2, 10**4, 10**6, 10**7, 10**8, 10**9]),
+    _AXES,
+    _AXES,
+    st.booleans(),
+)
+_SIDES = st.one_of(
+    st.lists(_EXACT_ENTRIES, min_size=6, max_size=6).map(",".join),
+    st.lists(st.one_of(_EXACT_ENTRIES, _FLOAT_ENTRIES), min_size=6, max_size=6).map(",".join),
+    st.lists(_FLOAT_ENTRIES, min_size=6, max_size=6).map(",".join),
+    _STRUCTURED,
+)
+
+
+@st.composite
+def _equiv_pairs(draw):
+    """x, and a y that is independent, a multiple of x, or the canonical
+    screw or translation of x's exact pitch."""
+    x = draw(_SIDES)
+    partner = draw(st.sampled_from(["independent", "multiple", "canonical"]))
+    if partner == "independent":
+        return x, draw(_SIDES)
+    try:
+        coeffs = _parse_vector(x, "--x").coeffs
+    except UsageError:
+        return x, draw(_SIDES)
+    if partner == "multiple":
+        k = draw(st.sampled_from([Fraction(-3), Fraction(1, 7), Fraction(10**12)]))
+        exact = all(isinstance(c, Fraction) for c in coeffs)
+        return x, ",".join(str(c * k) if exact else repr(float(c * k)) for c in coeffs)
+    p = pitch_of(AlgebraElement.exact(coeffs)) if any(coeffs) else None
+    if p is None or abs(p) > 1e300:
+        return x, "1,0,0,0,0,0"
+    return x, f"0,0,{draw(st.sampled_from([str(p), repr(float(p))]))},0,0,1"
+
+
+def _unit_element(element):
+    coords = element.as_array()
+    return AlgebraElement.numeric(coords / np.abs(coords).max())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_equiv_pairs())
+@example(("0,0,1/10000000000,0,0,1", "0,0,0,0,0,1"))
+@example(("1,0,0,0,0,0", "4e-320,0,0,0,0,0"))
+@example((_ROUNDS_TO_ZERO, "1,0,0,0,0,0"))
+@example((_FAR_AXIS, "0,0,0,0,0,1"))
+def test_equiv_gives_a_verified_verdict_or_a_usage_error(pair):
+    x, y = pair
+    status, out = _run(["equiv", f"--x={x}", f"--y={y}"])
+    if status != 0:
+        assert status == 2 and out == "", pair
+        return
+    payload = json.loads(out)
+    _validate(payload, "equiv.json")
+    ex, ey = _parse_vector(x, "--x"), _parse_vector(y, "--y")
+    if payload["equivalent"]:
+        word = AdjointWord.of(*payload["word"])
+        assert proportionality_scale(apply_word(word, _unit_element(ex)), _unit_element(ey)) is not None, pair
+    if ex.tower == ey.tower == "exact" and pitch_of(ex) != pitch_of(ey):
+        assert payload["equivalent"] is False, pair
 
 
 def test_prolong_named_field():

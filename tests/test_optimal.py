@@ -347,7 +347,14 @@ def test_batch_replay_reproduces_the_representatives():
     batch = classify_1d_many(coords)
     mapped = batch.scale[:, None] * batch.replay(coords)
     assert np.abs(mapped - batch.representatives).max() < 1e-9
-    assert batch.disallowed().max() < 1e-9
+    assert batch.disallowed.max() < 1e-9
+    # the stored residual is the largest |coordinate| of each representative
+    # outside its case pattern
+    recomputed = [
+        max(abs(c) for k, c in enumerate(row, 1) if k not in CASE_ALLOWED[tag])
+        for tag, row in zip(batch.case_tags, batch.representatives)
+    ]
+    assert np.array_equal(batch.disallowed, recomputed)
 
 
 def test_batch_rejects_bad_input():
