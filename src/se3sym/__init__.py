@@ -11,7 +11,7 @@ import importlib
 # submodule -> the names exported from it; the submodules are exported too
 _EXPORTS = {
     "algebra": "BASIS SE3 AlgebraElement DependentBasisError StructureConstants SubalgebraBasis "
-    "TowerError X1 X2 X3 X4 X5 X6 bracket closure_check commutator_table in_span jacobi_defect",
+    "TowerError X1 X2 X3 X4 X5 X6 bracket closure_check commutator_table in_span",
     "adjoint": "AdjointWord TrigPoly TrigPolyMatrix ad_matrix adjoint_closed_form adjoint_series "
     "apply_word automorphism_defect",
     "optimal": "OneDimBatch OneDimRepresentative ScrewForm canonicalize_screw classify_1d_many "

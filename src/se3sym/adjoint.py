@@ -47,10 +47,6 @@ class TrigPoly(SparsePoly):
                 normal[key] = normal.get(key, 0) + (-1) ** j * math.comb(half, j) * value
         return super()._canonical(normal)
 
-    @classmethod
-    def symbol(cls, name: str) -> "TrigPoly":
-        return cls.variable(name)
-
     def evaluate(self, sigma):
         """Value at one parameter (a float) or at each of an array of them."""
         sigma = np.asarray(sigma, dtype=float)
@@ -76,9 +72,6 @@ class TrigPolyMatrix(NamedTuple):
         c, s = np.cos(sigma), np.sin(sigma)
         values = np.array([[e._at(sigma, c, s) for e in row] for row in self.entries])
         return np.moveaxis(values, (0, 1), (-2, -1))
-
-    def __str__(self) -> str:
-        return "\n".join("  ".join(str(e) for e in row) for row in self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -158,22 +151,8 @@ def closed_form(i: int) -> TrigPolyMatrix:
     return adjoint_closed_form(i)
 
 
-def step_matrix(i: int, sigma: float) -> np.ndarray:
-    """Float matrix of one adjoint step, row-convention (the reference for
-    apply_step)."""
-    if i <= 3:
-        m = np.eye(DIM) - sigma * _AD[i]
-    else:
-        m = (
-            np.eye(DIM)
-            - math.sin(sigma) * _AD[i]
-            + (1.0 - math.cos(sigma)) * _AD2[i]
-        )
-    return m.T
-
-
 def apply_step(i: int, sigma, coords: np.ndarray) -> np.ndarray:
-    """coords @ step_matrix(i, sigma), computed from the bracket operator.
+    """coords @ closed_form(i).evaluate(sigma), computed from the bracket operator.
 
     coords holds one element, shape (6,), or one per row, shape (n, 6);
     sigma is one parameter or one per row.  A zero parameter leaves the
@@ -217,9 +196,6 @@ class AdjointWord:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
 
     def inverse(self) -> "AdjointWord":
         return AdjointWord(tuple((i, -s) for i, s in reversed(self.steps)))

@@ -231,15 +231,6 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(tuple(out))
 
 
-def jacobi_defect(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement) -> AlgebraElement:
-    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; exactly zero for valid constants."""
-    return (
-        bracket(x, bracket(y, z))
-        + bracket(y, bracket(z, x))
-        + bracket(z, bracket(x, y))
-    )
-
-
 @dataclass(frozen=True)
 class SubalgebraBasis:
     """Linearly independent list of 1..6 exact generators."""

@@ -77,18 +77,10 @@ class ClaimsReport(NamedTuple):
     def has_discrepancy(self) -> bool:
         return any(c.status == DISCREPANCY for c in self.claims)
 
-    def to_payload(self) -> Dict:
-        return {
-            "seed": self.seed,
-            "samples": self.samples,
-            "claims": [
-                {"id": c.claim_id, "status": c.status, "evidence": c.evidence}
-                for c in self.claims
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, indent=2) + "\n"
+        claims = [{"id": c.claim_id, "status": c.status, "evidence": c.evidence} for c in self.claims]
+        payload = {"seed": self.seed, "samples": self.samples, "claims": claims}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +452,8 @@ def _claim_two_dim() -> Claim:
 
 
 def _claim_three_four_dim() -> List[Claim]:
-    verdicts = verify_3d_4d((-2, 1, 3))
+    grid = (-2, 1, 3)
+    verdicts = verify_3d_4d(grid)
     closed3 = all(v.closed for v in verdicts if v.case == "A3")
     closed4 = all(v.closed for v in verdicts if v.case == "A4")
 
@@ -488,7 +481,7 @@ def _claim_three_four_dim() -> List[Claim]:
         Claim(
             "three-dim-subalgebra",
             CONFIRMED if closed3 else DISCREPANCY,
-            {"closed_for_sampled_parameters": closed3, "parameters": ["-2", "1", "3"]},
+            {"closed_for_sampled_parameters": closed3, "parameters": [str(a) for a in grid]},
         ),
         Claim(
             "three-dim-commutator-table",

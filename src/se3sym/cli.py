@@ -280,6 +280,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        # argparse (as in Python 3.11) reads "--flag=--" as [] and skips the type
+        missing = [name for name, value in vars(args).items() if value == []]
+        if missing:
+            raise UsageError(f"--{missing[0]} needs a value")
         return args.handler(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

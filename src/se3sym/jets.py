@@ -383,9 +383,6 @@ class PhiSolutionSpace(NamedTuple):
     def dimension(self) -> int:
         return len(self.basis)
 
-    def members(self) -> List[Tuple[JetPolynomial, JetPolynomial]]:
-        return [self.particular] + list(self.basis)
-
     def gauge_fixed_g(self) -> JetPolynomial:
         """Particular u-coefficient with its constant term dropped."""
         g = self.particular[0]

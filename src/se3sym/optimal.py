@@ -403,9 +403,7 @@ def classify_1d_many(coords: np.ndarray) -> OneDimBatch:
 # ---------------------------------------------------------------------------
 
 
-def proportionality_scale(
-    mapped: AlgebraElement, target: AlgebraElement, tol: float = PATTERN_TOL
-) -> Optional[float]:
+def proportionality_scale(mapped: AlgebraElement, target: AlgebraElement) -> Optional[float]:
     """lam with mapped = lam * target, or None.
 
     Both sides are compared at unit scale (divided by their largest absolute
@@ -416,7 +414,7 @@ def proportionality_scale(
     if not (0.0 < m_max < math.inf and 0.0 < t_max < math.inf):
         return None
     ratio = float(mu @ tu) / float(tu @ tu)
-    if np.abs(mu - ratio * tu).max() > tol * max(1.0, abs(ratio)):
+    if np.abs(mu - ratio * tu).max() > PATTERN_TOL * max(1.0, abs(ratio)):
         return None
     lam = ratio * float(m_max / t_max)
     if lam == 0.0 or not math.isfinite(lam):

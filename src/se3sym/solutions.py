@@ -11,7 +11,6 @@ step, so everything is deterministic.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -147,20 +146,16 @@ def flow(
     x_elem: Union[AlgebraElement, np.ndarray],
     s: Union[float, np.ndarray],
     p: Union[Point, np.ndarray],
-    step: float = DEFAULT_STEP,
 ) -> FlowResult:
     """Integrate the one-parameter flow of the field for parameter s.
 
     x_elem is an element or an (m, 6) coordinate array, s a scalar or (m,),
     p a point or (m, 3); they broadcast over rows.  Each row takes
-    n = max(1, ceil(|s| / step)) RK4 steps of size s / n.  The field
+    n = max(1, ceil(|s| / DEFAULT_STEP)) RK4 steps of size s / n.  The field
     v + w x p is affine in p, so one RK4 step is an affine map
     p -> p L + c, and n steps are applied by binary powering of that map:
     about log2(n) vectorized passes instead of n.
     """
-    step = float(step)
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be a positive finite number, got {step!r}")
     coords = _as_rows(x_elem, 6, "x_elem")
     s_arr = _as_rows(s, 0, "s")
     points = _as_rows(p, 3, "p")
@@ -170,7 +165,7 @@ def flow(
     s_arr = np.broadcast_to(s_arr, (m,))
     points = np.array(np.broadcast_to(points, (m, 3)))
 
-    wanted = np.abs(s_arr) / step
+    wanted = np.abs(s_arr) / DEFAULT_STEP
     if (wanted > MAX_STEPS).any():
         raise ValueError(f"|s| / step asks for more than {MAX_STEPS} steps")
     n = np.maximum(1, np.ceil(wanted)).astype(np.int64)

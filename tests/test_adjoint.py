@@ -19,7 +19,6 @@ from se3sym.adjoint import (
     automorphism_defect,
     closed_form,
     omega_norm_sq,
-    step_matrix,
     translation_dot,
 )
 
@@ -69,7 +68,7 @@ def test_series_rotation_example():
 
 def test_closed_form_nilpotent_rows():
     m1 = closed_form(1)
-    s = TrigPoly.symbol("s")
+    s = TrigPoly.variable("s")
     one = TrigPoly.constant(1)
     zero = TrigPoly()
     assert m1.entries[4] == (zero, zero, s, zero, one, zero)
@@ -81,7 +80,7 @@ def test_closed_form_nilpotent_rows():
 
 def test_closed_form_rotation_blocks():
     m6 = closed_form(6)
-    C, S = TrigPoly.symbol("C"), TrigPoly.symbol("S")
+    C, S = TrigPoly.variable("C"), TrigPoly.variable("S")
     assert m6.entries[0][0] == C and m6.entries[0][1] == S
     assert m6.entries[1][0] == -S and m6.entries[1][1] == C
     assert m6.entries[3][3] == C and m6.entries[3][4] == S
@@ -127,7 +126,7 @@ def _scalar_reference(matrix, sigma):
 
 
 def test_scalar_evaluation_keeps_its_types_and_values():
-    S = TrigPoly.symbol("S")
+    S = TrigPoly.variable("S")
     assert type(S.evaluate(0.5)) is float and S.evaluate(0.5) == math.sin(0.5)
     assert S.evaluate(SIGMAS).shape == SIGMAS.shape
     for i in range(1, 7):
@@ -152,6 +151,17 @@ def test_closed_forms_are_built_on_first_use_and_kept():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def step_matrix(i, sigma):
+    """Float matrix of one adjoint step, row-convention, built from ad_matrix:
+    the reference for apply_step."""
+    ad = np.array(ad_matrix((X1, X2, X3, X4, X5, X6)[i - 1]), dtype=float)
+    if i <= 3:
+        m = np.eye(DIM) - sigma * ad
+    else:
+        m = np.eye(DIM) - math.sin(sigma) * ad + (1.0 - math.cos(sigma)) * (ad @ ad)
+    return m.T
 
 
 def test_step_matrix_consistent_with_closed_form():
@@ -348,6 +358,6 @@ def test_symbolic_defect_reduces_to_zero():
 
 
 def test_trig_poly_relation():
-    C, S = TrigPoly.symbol("C"), TrigPoly.symbol("S")
+    C, S = TrigPoly.variable("C"), TrigPoly.variable("S")
     assert C * C + S * S == TrigPoly.constant(1)
     assert str(C * C) == "-S^2 + 1"

@@ -25,10 +25,14 @@ from se3sym.algebra import (
     format_element,
     in_span,
     is_abelian,
-    jacobi_defect,
 )
 
 ZERO = (0, 0, 0, 0, 0, 0)
+
+
+def jacobi_defect(x, y, z):
+    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; exactly zero for valid constants."""
+    return bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(z, bracket(x, y))
 
 
 def _e(k, sign=1):

@@ -83,7 +83,7 @@ def test_published_adjoint_matrices_read_the_printed_tokens():
     """Each printed token read by TrigPoly.parse is the polynomial it names,
     built from the ring operations, coefficient types included; absent
     entries are the zero polynomial."""
-    s, c, sn = (TrigPoly.symbol(n) for n in ("s", "C", "S"))
+    s, c, sn = (TrigPoly.variable(n) for n in ("s", "C", "S"))
     named = {"1": TrigPoly.constant(1), "s": s, "-s": -s, "C": c, "S": sn, "-S": -sn}
     for i, tokens in PUBLISHED_ADJOINT_TOKENS.items():
         want = [

@@ -66,7 +66,7 @@ point_polys = st.lists(
 )
 
 
-s_sym, C_sym, S_sym = (TrigPoly.symbol(n) for n in ("s", "C", "S"))
+s_sym, C_sym, S_sym = (TrigPoly.variable(n) for n in ("s", "C", "S"))
 
 trig_polys = st.lists(
     st.tuples(
@@ -400,7 +400,7 @@ def test_solve_zero_field_gives_constant_u_plus_harmonics():
 
 def test_solutions_satisfy_defining_equations_for_zero_source():
     space = solve_phi_for_xi((ZERO, ZERO, ZERO), "zero", 2)
-    for g, h in space.members():
+    for g, h in [space.particular, *space.basis]:
         field = field_from_phi((ZERO, ZERO, ZERO), g, h)
         residuals = [substitute_zero_source(r) for r in defining_equations(field)]
         assert all(r.is_zero() for r in residuals)

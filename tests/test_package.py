@@ -23,7 +23,7 @@ EXPORTS = [
     "automorphism_defect", "bracket", "canonicalize_screw", "claims", "claims_report",
     "classify_1d_many", "classify_1d_paper", "closure_check", "commutator_table",
     "defining_equations", "equivalence_search", "flow", "flow_vs_closed_form", "in_span",
-    "invariance_residual", "jacobi_defect", "jets", "linalg", "optimal", "pde_residual", "poly",
+    "invariance_residual", "jets", "linalg", "optimal", "pde_residual", "poly",
     "rigid_motion", "second_prolongation", "solutions", "solve_phi_for_xi", "transform_solution",
     "verify_2d_list", "verify_3d_4d", "verify_invariance",
 ]  # fmt: skip

@@ -17,7 +17,7 @@ from se3sym.adjoint import TrigPoly
 from se3sym.jets import JetPolynomial, x, y, z
 
 X_KEY = next(iter(JetPolynomial.variable("x").terms))
-C_SYM, S_SYM, s_SYM = (TrigPoly.symbol(n) for n in ("C", "S", "s"))
+C_SYM, S_SYM, s_SYM = (TrigPoly.variable(n) for n in ("C", "S", "s"))
 
 
 @pytest.mark.parametrize("cls", [JetPolynomial, TrigPoly])

@@ -22,14 +22,6 @@ def _run_script(name, *args):
     )
 
 
-def test_hyperplane_scan_script():
-    result = _run_script("hyperplane_scan.py", "--samples", "1000")
-    assert result.returncode == 0, result.stderr
-    assert "closed hyperplane    none" in result.stdout
-    assert "residual floor       0.400000" in result.stdout
-    assert "covectors per s" in result.stdout
-
-
 def test_classify_sweep_script():
     result = _run_script("classify_sweep.py", "--count", "50")
     assert result.returncode == 0, result.stderr
@@ -42,9 +34,7 @@ def test_classify_sweep_script():
 def test_scripts_reject_sizes_below_one():
     for name, flag, value, message in (
         ("classify_sweep.py", "--count", "-3", "--count must be at least 1"),
-        ("hyperplane_scan.py", "--samples", "-1", "--samples must be at least 1"),
         ("classify_sweep.py", "--seed", "-1", "--seed must be a nonnegative integer"),
-        ("hyperplane_scan.py", "--seed", "-1", "--seed must be a nonnegative integer"),
     ):
         result = _run_script(name, flag, value)
         assert result.returncode == 2
@@ -70,7 +60,6 @@ print("threads", len(os.listdir("/proc/self/task")))
     "name, args",
     [
         ("classify_sweep.py", ["--count", "50"]),
-        ("hyperplane_scan.py", ["--samples", "1000"]),
     ],
 )
 def test_scripts_run_numpy_on_one_thread(tmp_path, name, args):

@@ -400,12 +400,6 @@ def test_batch_broadcasts_one_element_over_rows():
         assert tuple(batch[i]) == flow(X6.to_float(), si, (0.3, 0.4, 0.5)).endpoint
 
 
-@pytest.mark.parametrize("step", [-1e-3, 0.0, 0, math.inf, math.nan])
-def test_flow_rejects_bad_step(step):
-    with pytest.raises(ValueError, match="step"):
-        flow(X1.to_float(), 0.5, (0.0, 0.0, 0.0), step=step)
-
-
 @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
 def test_flow_rejects_non_finite_parameter(s):
     with pytest.raises(ValueError, match="s must be finite"):
