@@ -18,7 +18,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .algebra import DIM, AlgebraElement, bracket, basis_element
+from .algebra import DIM, AlgebraElement, Scalar, bracket, basis_element
 from .poly import SparsePoly
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,11 @@ class AdjointWord:
         return AdjointWord(self.steps + other.steps)
 
     def simplified(self, tol: float = 0.0) -> "AdjointWord":
-        """Drop zero steps and merge adjacent steps of the same generator."""
+        """Drop zero steps and merge adjacent steps of the same generator.
+
+        One pass suffices: neighbouring steps on the stack always differ in
+        generator, so a step whose merge drops out meets the one below it
+        as the next input would."""
         steps: List[Tuple[int, float]] = []
         for index, parameter in self.steps:
             if steps and steps[-1][0] == index:
@@ -214,20 +218,23 @@ class AdjointWord:
                     steps.append((index, merged))
             elif abs(parameter) > tol:
                 steps.append((index, parameter))
-        # merging may expose new adjacent pairs
-        word = AdjointWord(tuple(steps))
-        return word if len(word) == len(self) else word.simplified(tol)
+        return AdjointWord(tuple(steps))
 
     def to_json(self) -> List[List[float]]:
         return [[index, parameter] for index, parameter in self.steps]
 
 
+def _apply_steps(steps, coords: np.ndarray) -> np.ndarray:
+    """apply_step of every (generator, parameter) of steps, in order; a
+    parameter is one number or one per row of coords."""
+    for index, parameter in steps:
+        coords = apply_step(index, parameter, coords)
+    return coords
+
+
 def apply_word(word: AdjointWord, x: AlgebraElement) -> AlgebraElement:
     """Apply the adjoint word to x; returns a float-tower element."""
-    coords = x.as_array()
-    for index, parameter in word.steps:
-        coords = apply_step(index, parameter, coords)
-    return AlgebraElement.numeric(coords)
+    return AlgebraElement.numeric(_apply_steps(word.steps, x.as_array()))
 
 
 def automorphism_defect(
@@ -239,9 +246,11 @@ def automorphism_defect(
     return lhs - rhs
 
 
-def omega_norm_sq(x: AlgebraElement) -> float:
-    return float(sum(float(c) ** 2 for c in x.w))
+def omega_norm_sq(x: AlgebraElement) -> Scalar:
+    """|w|^2, the Ad-invariant form of the rotation part, in x's tower."""
+    return sum(c ** 2 for c in x.w)
 
 
-def translation_dot(x: AlgebraElement) -> float:
-    return float(sum(float(a) * float(b) for a, b in zip(x.v, x.w)))
+def translation_dot(x: AlgebraElement) -> Scalar:
+    """v.w, the Ad-invariant pairing of the two parts, in x's tower."""
+    return sum(a * b for a, b in zip(x.v, x.w))

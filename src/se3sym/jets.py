@@ -26,6 +26,7 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
+from .algebra import AlgebraElement, basis_element
 from .linalg import exact_rref, nullspace_from_rref
 from .poly import Monomial, SparsePoly
 
@@ -159,7 +160,8 @@ ONE = JetPolynomial.constant(1)
 # point vector fields and prolongation
 # ---------------------------------------------------------------------------
 
-_POINT_VARS = ("x", "y", "z", "u")
+# the variables a point field may not use
+_NON_POINT = tuple(n for n in VARIABLES if n not in ("x", "y", "z", "u"))
 
 
 @dataclass(frozen=True)
@@ -173,8 +175,7 @@ class PointVectorField:
 
     def __post_init__(self):
         for label, component in self.components():
-            banned = [n for n in VARIABLES if n not in _POINT_VARS]
-            if component.uses(banned):
+            if component.uses(_NON_POINT):
                 raise ValueError(f"component {label} uses non-point variables")
 
     def components(self):
@@ -214,19 +215,18 @@ def vf_commutator(v: PointVectorField, w: PointVectorField) -> PointVectorField:
     return PointVectorField(*parts)
 
 
+def element_field(element: AlgebraElement) -> PointVectorField:
+    """The rigid-motion field of an se(3) element: xi = v + w x (x, y, z),
+    phi = 0."""
+    (v1, v2, v3), (w1, w2, w3) = element.v, element.w
+    return PointVectorField(
+        w2 * z - w3 * y + v1, w3 * x - w1 * z + v2, w1 * y - w2 * x + v3, JetPolynomial.zero()
+    )
+
+
 def rigid_basis_field(index: int) -> PointVectorField:
     """The basis generators X_1..X_6 realized as point vector fields."""
-    zero = JetPolynomial.zero()
-    table = {
-        1: (ONE, zero, zero),
-        2: (zero, ONE, zero),
-        3: (zero, zero, ONE),
-        4: (zero, -z, y),
-        5: (z, zero, -x),
-        6: (-y, x, zero),
-    }
-    xi1, xi2, xi3 = table[index]
-    return PointVectorField(xi1, xi2, xi3, zero)
+    return element_field(basis_element(index))
 
 
 def dilation_field() -> PointVectorField:

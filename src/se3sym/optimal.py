@@ -19,7 +19,7 @@ import itertools
 import math
 import numbers
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .algebra import (
     commutator_table,
     is_abelian,
 )
-from .adjoint import AdjointWord, apply_step, apply_word, omega_norm_sq, translation_dot
+from .adjoint import AdjointWord, _apply_steps, apply_word, omega_norm_sq, translation_dot
 
 PATTERN_TOL = 1e-9
 ZERO_TOL = 1e-12
@@ -133,10 +133,7 @@ def pitch_of(x: AlgebraElement) -> Optional[Scalar]:
     """Translation advance per unit rotation, v.w / |w|^2, from the two
     Ad-invariant forms: the orbit of span(x), None for a translation.  A
     Fraction for exact x, a float for float x."""
-    if x.tower == "exact":
-        wsq, dot = sum(c * c for c in x.w), sum(a * b for a, b in zip(x.v, x.w))
-    else:
-        wsq, dot = omega_norm_sq(x), translation_dot(x)
+    wsq, dot = omega_norm_sq(x), translation_dot(x)
     return dot / wsq if wsq else None
 
 
@@ -171,12 +168,6 @@ def _scale(unit_scale, m, coords: np.ndarray):
 
 def _norm3(p: np.ndarray) -> np.ndarray:
     return np.sqrt(p[..., 0] * p[..., 0] + p[..., 1] * p[..., 1] + p[..., 2] * p[..., 2])
-
-
-def _apply_steps(steps, coords: np.ndarray) -> np.ndarray:
-    for index, parameter in steps:
-        coords = apply_step(index, parameter, coords)
-    return coords
 
 
 def _word(steps) -> AdjointWord:
@@ -462,77 +453,79 @@ def unit_proportionality(
 # ---------------------------------------------------------------------------
 
 
+# the printed subalgebras by case, in the order of the published lists: the
+# generators, or a function of the parameter a giving them.  The sixth pair is
+# also checked in the variant its own derivation uses (the rotation about the
+# first axis replaced by the one about the third).
+PRINTED_SUBALGEBRAS: Dict[str, Union[Tuple[AlgebraElement, ...], Callable]] = {
+    "A2_1": (X2, X5),
+    "A2_2": (X3, X6),
+    "A2_3": lambda a: (X1, X2 + a * X4),
+    "A2_4": lambda a: (X1, X3 + a * X4),
+    "A2_5": lambda a: (X2, X3 + a * X5),
+    "A2_6": lambda a: (X3, X1 + a * X4),
+    "A2_6_proof_variant": lambda a: (X3, X1 + a * X6),
+    "A3": lambda a: (X1 + a * X4, X2, X3),
+    "A4": (X1, X2, X3, X4),
+}
+
+
 class SubalgebraVerdict(NamedTuple):
+    """Independence, closure and, for a closed span, commutativity of one
+    printed entry; witness_pair and witness name the first bracket outside
+    the span of an open one."""
+
     case: str
     a: Optional[Fraction]
+    generators: Tuple[AlgebraElement, ...]
     independent: bool
     closed: bool
     abelian: Optional[bool]
     witness_pair: Optional[Tuple[int, int]]
     witness: Optional[AlgebraElement]
 
-
-def _pair_cases() -> List[Tuple[str, bool, callable]]:
-    return [
-        ("A2_1", False, lambda a: (X2, X5)),
-        ("A2_2", False, lambda a: (X3, X6)),
-        ("A2_3", True, lambda a: (X1, X2 + a * X4)),
-        ("A2_4", True, lambda a: (X1, X3 + a * X4)),
-        ("A2_5", True, lambda a: (X2, X3 + a * X5)),
-        ("A2_6", True, lambda a: (X3, X1 + a * X4)),
-        ("A2_6_proof_variant", True, lambda a: (X3, X1 + a * X6)),
-    ]
+    @property
+    def table(self) -> List[List[AlgebraElement]]:
+        """The commutator table of the generators, computed on each read
+        (raises DependentBasisError where they are dependent)."""
+        return commutator_table(self.generators)
 
 
-def _verdict_for(case: str, a: Optional[Fraction], generators) -> SubalgebraVerdict:
+def _verdict(case: str, a: Optional[Fraction], generators) -> SubalgebraVerdict:
     try:
-        basis = SubalgebraBasis(tuple(generators))
+        basis = SubalgebraBasis(generators)
     except ValueError:
-        return SubalgebraVerdict(case, a, False, False, None, None, None)
+        return SubalgebraVerdict(case, a, generators, False, False, None, None, None)
     verdict = closure_check(basis)
     if verdict.closed:
-        return SubalgebraVerdict(case, a, True, True, is_abelian(basis), None, None)
-    witness = verdict.witness
-    return SubalgebraVerdict(
-        case, a, True, False, None, (witness.i, witness.j), witness.value
-    )
+        return SubalgebraVerdict(case, a, generators, True, True, is_abelian(basis), None, None)
+    w = verdict.witness
+    return SubalgebraVerdict(case, a, generators, True, False, None, (w.i, w.j), w.value)
 
 
-def verify_2d_list(a_grid: Sequence) -> List[SubalgebraVerdict]:
-    """Closure and commutativity verdicts for the published pair list.
-
-    The published sixth pair is checked as printed and in the variant used
-    by its own derivation (axis rotation replaced by the axis-aligned one).
-    """
+def _printed_verdicts(prefixes: Tuple[str, ...], a_grid: Sequence) -> List[SubalgebraVerdict]:
+    """Verdicts of the printed entries whose case starts with one of the
+    prefixes, in table order, a parametrized entry once per a of a_grid."""
     out = []
-    for case, parametrized, make in _pair_cases():
-        if not parametrized:
-            out.append(_verdict_for(case, None, make(None)))
+    for case, make in PRINTED_SUBALGEBRAS.items():
+        if not case.startswith(prefixes):
             continue
-        for raw in a_grid:
-            a = Fraction(raw)
-            out.append(_verdict_for(case, a, make(a)))
+        if callable(make):
+            out.extend(_verdict(case, a, make(a)) for a in map(Fraction, a_grid))
+        else:
+            out.append(_verdict(case, None, make))
     return out
 
 
-class TableVerdict(NamedTuple):
-    case: str
-    a: Optional[Fraction]
-    independent: bool
-    closed: bool
-    table: Optional[List[List[AlgebraElement]]]
-    generators: Tuple[AlgebraElement, ...]
+def verify_2d_list(a_grid: Sequence) -> List[SubalgebraVerdict]:
+    """Verdicts of the printed pairs, the proof variant of the sixth included."""
+    return _printed_verdicts(("A2",), a_grid)
 
 
-def verify_3d_4d(a_grid: Sequence) -> List[TableVerdict]:
-    """Closure of the printed 3- and 4-dimensional subalgebras with their
-    recomputed commutator tables."""
-    cases = [("A3", a, (X1 + a * X4, X2, X3)) for a in map(Fraction, a_grid)]
-    cases.append(("A4", None, (X1, X2, X3, X4)))
-    return [
-        TableVerdict(case, a, True, closure_check(SubalgebraBasis(g)).closed, commutator_table(g), g)
-        for case, a, g in cases
-    ]
+def verify_3d_4d(a_grid: Sequence) -> List[SubalgebraVerdict]:
+    """Verdicts of the printed 3- and 4-dimensional subalgebras; each
+    verdict's table is the recomputed commutator table."""
+    return _printed_verdicts(("A3", "A4"), a_grid)
 
 
 # ---------------------------------------------------------------------------

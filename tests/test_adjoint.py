@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from se3sym.algebra import DIM, SE3, AlgebraElement, X1, X2, X3, X4, X5, X6, bracket
 from se3sym.adjoint import (
@@ -242,6 +244,23 @@ def test_word_inverse_and_simplify():
     element = AlgebraElement.numeric(rng.standard_normal(6))
     roundtrip = apply_word(inv, apply_word(word, element))
     assert np.allclose(roundtrip.as_array(), element.as_array(), atol=1e-12)
+
+
+words = st.lists(
+    st.tuples(st.integers(1, 3), st.sampled_from([0.0, 1e-13, -1e-13, 0.5, -0.5, 1.0, -1.0, 2.0])),
+    max_size=12,
+).map(lambda steps: AdjointWord.of(*steps))
+
+
+@given(words, st.sampled_from([0.0, 1e-12]))
+def test_simplified_word_is_reduced_in_one_pass(word, tol):
+    simple = word.simplified(tol)
+    assert all(a[0] != b[0] for a, b in zip(simple.steps, simple.steps[1:]))
+    assert all(abs(p) > tol for _, p in simple.steps)
+    assert simple.simplified(tol) == simple
+    element = AlgebraElement.numeric([0.3, -1.2, 0.5, 0.7, 0.1, -0.4])
+    moved, expected = apply_word(simple, element).as_array(), apply_word(word, element).as_array()
+    assert np.abs(moved - expected).max() <= 1e-12
 
 
 def test_word_validation():

@@ -12,6 +12,7 @@ from se3sym.jets import (
     PointVectorField,
     defining_equations,
     dilation_field,
+    element_field,
     f_atom,
     f_prime,
     field_from_phi,
@@ -31,7 +32,7 @@ from se3sym.jets import (
 from se3sym import jets
 from se3sym.adjoint import TrigPoly
 from se3sym.claims import PUBLISHED_GENERATOR_FAMILY
-from se3sym.algebra import SE3
+from se3sym.algebra import SE3, AlgebraElement, bracket
 from se3sym.linalg import exact_solve
 from se3sym.poly import SparsePoly
 
@@ -604,3 +605,21 @@ def test_vector_field_commutators_reproduce_structure_constants():
                     expected[slot] = expected[slot] + SE3.c[i][j][k] * comp
             for (_, got), want in zip(lie.components(), expected):
                 assert got == want
+
+
+def test_element_field_of_the_basis_is_the_rigid_motion_table():
+    zero = JetPolynomial.zero()
+    table = [(ONE, zero, zero), (zero, ONE, zero), (zero, zero, ONE), (zero, -z, y), (z, zero, -x), (-y, x, zero)]
+    for k, xi in enumerate(table, start=1):
+        assert rigid_basis_field(k) == PointVectorField(*xi, zero)
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+exact_elements = st.lists(small_fractions, min_size=6, max_size=6).map(AlgebraElement.exact)
+
+
+@given(exact_elements, exact_elements)
+def test_element_field_carries_the_bracket_to_the_field_bracket(a, b):
+    # the commutator-table claim checks the 36 basis pairs; these are elements
+    # off the basis
+    assert vf_commutator(element_field(a), element_field(b)) == element_field(bracket(a, b))

@@ -95,7 +95,7 @@ RECORDS = {
     "Claim", "ClaimsReport", "ClosureVerdict", "ClosureWitness", "FlowResult",
     "HyperplaneCertificate", "HyperplaneScan", "OneDimBatch", "OneDimRepresentative",
     "PhiSolutionSpace", "Prolongation", "ScalarField", "ScrewForm", "SolutionChecks",
-    "SourceTerm", "StructureConstants", "SubalgebraVerdict", "TableVerdict", "TrigPolyMatrix",
+    "SourceTerm", "StructureConstants", "SubalgebraVerdict", "TrigPolyMatrix",
 }  # fmt: skip
 
 
