@@ -247,10 +247,12 @@ def automorphism_defect(
 
 
 def omega_norm_sq(x: AlgebraElement) -> Scalar:
-    """|w|^2, the Ad-invariant form of the rotation part, in x's tower."""
-    return sum(c ** 2 for c in x.w)
+    """|w|^2, the Ad-invariant form of the rotation part, in x's tower (a
+    Fraction for exact x, int coordinates included)."""
+    return sum((c ** 2 for c in x.w), Fraction(0))
 
 
 def translation_dot(x: AlgebraElement) -> Scalar:
-    """v.w, the Ad-invariant pairing of the two parts, in x's tower."""
-    return sum(a * b for a, b in zip(x.v, x.w))
+    """v.w, the Ad-invariant pairing of the two parts, in x's tower (a
+    Fraction for exact x, int coordinates included)."""
+    return sum((a * b for a, b in zip(x.v, x.w)), Fraction(0))

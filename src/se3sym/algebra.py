@@ -18,7 +18,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .linalg import exact_nullspace, exact_rank, exact_solve_in_span
+from .linalg import exact_nullspace, exact_rank, exact_solve
 
 DIM = 6
 
@@ -170,50 +170,24 @@ def _cross(a, b):
     )
 
 
-class StructureConstants(NamedTuple):
-    """Tensor c with [X_i, X_j] = sum_k c[i][j][k] X_k (indices 0-based).
-
-    Single source of truth for every bracket in the package.
-    """
-
-    c: Tuple[Tuple[Tuple[Fraction, ...], ...], ...]
-
-    @classmethod
-    def rigid_motions(cls) -> "StructureConstants":
-        """Structure constants of se(3) in the fixed basis.
-
-        For elements written as pairs (v, w) the bracket is
-        [(v, w), (v', w')] = (v' x w - v x w', -w x w').
-        """
-        # the constants are integers: work on ints, store Fractions
-        tensor = []
-        for i in range(DIM):
-            vi = tuple(int(i == t) for t in range(3))
-            wi = tuple(int(i - 3 == t) for t in range(3))
-            row = []
-            for j in range(DIM):
-                vj = tuple(int(j == t) for t in range(3))
-                wj = tuple(int(j - 3 == t) for t in range(3))
-                v_part = tuple(
-                    a - b for a, b in zip(_cross(vj, wi), _cross(vi, wj))
-                )
-                w_part = tuple(-t for t in _cross(wi, wj))
-                row.append(tuple(map(Fraction, v_part + w_part)))
-            tensor.append(tuple(row))
-        return cls(tuple(tensor))
-
-    def nonzero_entries(self) -> List[Tuple[int, int, int, Fraction]]:
-        out = []
-        for i in range(DIM):
-            for j in range(DIM):
-                for k in range(DIM):
-                    if self.c[i][j][k] != 0:
-                        out.append((i, j, k, self.c[i][j][k]))
-        return out
+def _rule(x, y):
+    """[(v, w), (v', w')] = (v' x w - v x w', -w x w') on coordinate 6-tuples."""
+    v, w, v2, w2 = x[:3], x[3:], y[:3], y[3:]
+    v_part = (a - b for a, b in zip(_cross(v2, w), _cross(v, w2)))
+    return (*v_part, *(-t for t in _cross(w, w2)))
 
 
-SE3 = StructureConstants.rigid_motions()
-_NONZERO = SE3.nonzero_entries()
+# structure constants, [X_i, X_j] = sum_k SE3[i][j][k] X_k (0-based): the rule
+# on the basis coordinates, worked on ints and stored as Fractions
+_UNITS = [tuple(int(i == k) for k in range(DIM)) for i in range(DIM)]
+SE3 = tuple(tuple(tuple(map(Fraction, _rule(ei, ej))) for ej in _UNITS) for ei in _UNITS)
+_NONZERO = [
+    (i, j, k, value)
+    for i, row in enumerate(SE3)
+    for j, entry in enumerate(row)
+    for k, value in enumerate(entry)
+    if value
+]
 
 
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -262,19 +236,30 @@ def _check_independent(generators: Sequence[AlgebraElement]) -> None:
         raise DependentBasisError(rank, relation[0] if relation else None)
 
 
+def _generators(basis) -> Tuple[AlgebraElement, ...]:
+    return basis.generators if isinstance(basis, SubalgebraBasis) else tuple(basis)
+
+
 def commutator_table(basis: Sequence[AlgebraElement]) -> List[List[AlgebraElement]]:
-    """All pairwise brackets of an independent generator list."""
-    generators = tuple(basis.generators if isinstance(basis, SubalgebraBasis) else basis)
-    _check_independent(generators)
+    """All pairwise brackets of an independent generator list (a
+    SubalgebraBasis is independent already)."""
+    generators = _generators(basis)
+    if not isinstance(basis, SubalgebraBasis):
+        _check_independent(generators)
     return [[bracket(a, b) for b in generators] for a in generators]
 
 
 def in_span(x: AlgebraElement, basis: SubalgebraBasis) -> Optional[Tuple[Fraction, ...]]:
     """Coordinates of x in the basis (a SubalgebraBasis or a sequence of
     exact generators) when x lies in its span, else None."""
-    generators = basis.generators if isinstance(basis, SubalgebraBasis) else tuple(basis)
+    generators = _generators(basis)
     _require_exact((x, *generators))
-    return exact_solve_in_span([g.coeffs for g in generators], x.coeffs)
+    if not generators:
+        return None
+    # the unknowns are the span coefficients: one column per generator, one
+    # equation per coordinate
+    solved = exact_solve([[g.coeffs[i] for g in generators] for i in range(DIM)], x.coeffs)
+    return None if solved is None else solved[0]
 
 
 class ClosureWitness(NamedTuple):
@@ -284,8 +269,12 @@ class ClosureWitness(NamedTuple):
 
 
 class ClosureVerdict(NamedTuple):
+    """closed, the first bracket outside the span of an open basis, and for
+    a closed one whether every bracket vanishes (None when open)."""
+
     closed: bool
     witness: Optional[ClosureWitness] = None
+    abelian: Optional[bool] = None
 
 
 def closure_check(basis: SubalgebraBasis) -> ClosureVerdict:
@@ -296,20 +285,13 @@ def closure_check(basis: SubalgebraBasis) -> ClosureVerdict:
     if not isinstance(basis, SubalgebraBasis):
         basis = SubalgebraBasis(tuple(basis))
     gens = basis.generators
+    abelian = True
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             value = bracket(gens[i], gens[j])
             if value.is_zero():
                 continue
+            abelian = False
             if in_span(value, basis) is None:
                 return ClosureVerdict(False, ClosureWitness(i, j, value))
-    return ClosureVerdict(True)
-
-
-def is_abelian(basis: SubalgebraBasis) -> bool:
-    gens = basis.generators if isinstance(basis, SubalgebraBasis) else tuple(basis)
-    return all(
-        bracket(gens[i], gens[j]).is_zero()
-        for i in range(len(gens))
-        for j in range(i + 1, len(gens))
-    )
+    return ClosureVerdict(True, None, abelian)

@@ -8,13 +8,13 @@ The source function itself is never given a shape: an identity that must
 hold "for every source" becomes a polynomial identity in the atoms.
 
 Total derivatives respect the jet structure (d u / dx = u_x and so on) and
-refuse to leave second order.  The second prolongation of a point vector
-field is computed by the derivative recursion
+refuse to leave second order.  The jet coordinate u_J is named by its
+multi-index J, the sorted string of its axes (u, u_x, u_xz, ...).  The second
+prolongation of a point vector field lifts one axis at a time,
 
-    phi^a  = D_a(phi) - sum_i D_a(xi_i) u_i
-    phi^ab = D_b(phi^a) - sum_i D_b(xi_i) u_ai
+    phi^Jb = D_b(phi^J) - sum_i D_b(xi_i) u_Ji,    phi^() = phi,
 
-which stays inside second order term by term.
+for J empty and then J one axis, which stays inside second order term by term.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ NVARS = len(VARIABLES)
 _INDEX: Dict[str, int] = {name: i for i, name in enumerate(VARIABLES)}
 
 _ZERO_MONOMIAL = (0,) * NVARS
+_AXES = ("x", "y", "z")
 
 
 class OrderOverflowError(ValueError):
@@ -91,14 +92,19 @@ class JetPolynomial(SparsePoly):
 
     def total_derivative(self, direction: str) -> "JetPolynomial":
         """Total derivative along x, y, or z on jets of order at most one."""
-        if direction not in ("x", "y", "z"):
+        if direction not in _AXES:
             raise ValueError(f"direction must be x, y or z, got {direction!r}")
+        table = _TOTAL_DERIVATIVE[direction]
         out: Dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
             for idx, exp in enumerate(mono):
                 if not exp:
                     continue
-                bumps = _derivative_of_variable(VARIABLES[idx], direction, mono)
+                if idx not in table:
+                    raise OrderOverflowError(
+                        f"total derivative of {JetPolynomial({mono: 1})} leaves second order"
+                    )
+                bumps = table[idx]
                 if bumps is not None:
                     _add_term(out, _bump(mono, (idx, -1), *bumps), coeff * exp)
         return self._canonical(out)
@@ -120,33 +126,22 @@ class JetPolynomial(SparsePoly):
 
 _SOURCE_CHAIN = ((_INDEX["f"], _INDEX["f'"]), (_INDEX["f'"], _INDEX["f''"]))
 
-_FIRST_JETS = {"x": "u_x", "y": "u_y", "z": "u_z"}
-_SECOND_JETS = {
-    ("x", "x"): "u_xx", ("x", "y"): "u_xy", ("x", "z"): "u_xz",
-    ("y", "y"): "u_yy", ("y", "z"): "u_yz", ("z", "z"): "u_zz",
+
+def _jet(axes: str) -> str:
+    """The jet coordinate u_J of the multi-index J, a string of axes."""
+    return "u_" + "".join(sorted(axes)) if axes else "u"
+
+
+# D_a of each variable index as exponent bumps of a monomial: () for 1, None
+# for 0; a variable missing from the table (u_ab, f'') would leave second order
+_TOTAL_DERIVATIVE: Dict[str, Dict[int, Optional[Tuple[Tuple[int, int], ...]]]] = {
+    a: {
+        **{_INDEX[b]: (() if b == a else None) for b in _AXES},
+        **{_INDEX[_jet(J)]: ((_INDEX[_jet(J + a)], 1),) for J in ("",) + _AXES},
+        **{atom: ((derived, 1), (_INDEX[_jet(a)], 1)) for atom, derived in _SOURCE_CHAIN},
+    }
+    for a in _AXES
 }
-
-
-def _second_jet(a: str, b: str) -> str:
-    return _SECOND_JETS[(a, b)] if (a, b) in _SECOND_JETS else _SECOND_JETS[(b, a)]
-
-
-def _derivative_of_variable(
-    name: str, direction: str, context: Monomial
-) -> Optional[Tuple[Tuple[int, int], ...]]:
-    """D_direction(name) as exponent bumps of a monomial; None when it is 0."""
-    if name in ("x", "y", "z"):
-        return () if name == direction else None
-    if name == "u":
-        return ((_INDEX[_FIRST_JETS[direction]], 1),)
-    if name in ("u_x", "u_y", "u_z"):
-        return ((_INDEX[_second_jet(name.split("_")[1], direction)], 1),)
-    if name in ("f", "f'"):
-        bump = "f'" if name == "f" else "f''"
-        return ((_INDEX[bump], 1), (_INDEX[_FIRST_JETS[direction]], 1))
-    raise OrderOverflowError(
-        f"total derivative of {JetPolynomial({context: 1})} leaves second order"
-    )
 
 
 # convenient handles
@@ -247,28 +242,25 @@ class Prolongation(NamedTuple):
     phi_zz: JetPolynomial
 
 
+def _xi_derivatives(v: PointVectorField) -> Dict[str, Tuple[JetPolynomial, ...]]:
+    """D_b(xi_i) for every axis b, each computed once."""
+    return {b: tuple(xi.total_derivative(b) for xi in v.xi()) for b in _AXES}
+
+
+def _lift(phi_J: JetPolynomial, J: str, b: str, dxi_b: Sequence[JetPolynomial]) -> JetPolynomial:
+    """phi^Jb = D_b(phi^J) - sum_i D_b(xi_i) u_Ji, dxi_b holding the D_b(xi_i)."""
+    acc = phi_J.total_derivative(b)
+    for axis, d in zip(_AXES, dxi_b):
+        acc = acc - d * JetPolynomial.variable(_jet(J + axis))
+    return acc
+
+
 def second_prolongation(v: PointVectorField) -> Prolongation:
-    xi = v.xi()
-    first: Dict[str, JetPolynomial] = {}
-    for a in ("x", "y", "z"):
-        acc = v.phi.total_derivative(a)
-        for i, direction in enumerate(("x", "y", "z")):
-            acc = acc - xi[i].total_derivative(a) * JetPolynomial.variable(
-                _FIRST_JETS[direction]
-            )
-        first[a] = acc
-    second: Dict[str, JetPolynomial] = {}
-    for a, b in (("x", "x"), ("x", "y"), ("x", "z"), ("y", "y"), ("y", "z"), ("z", "z")):
-        acc = first[a].total_derivative(b)
-        for i, direction in enumerate(("x", "y", "z")):
-            acc = acc - xi[i].total_derivative(b) * JetPolynomial.variable(
-                _second_jet(a, direction)
-            )
-        second[a + b] = acc
+    dxi = _xi_derivatives(v)
+    first = {a: _lift(v.phi, "", a, dxi[a]) for a in _AXES}
     return Prolongation(
-        first["x"], first["y"], first["z"],
-        second["xx"], second["xy"], second["xz"],
-        second["yy"], second["yz"], second["zz"],
+        *first.values(),
+        *(_lift(first[a], a, b, dxi[b]) for a, b in ("xx", "xy", "xz", "yy", "yz", "zz")),
     )
 
 
@@ -287,8 +279,10 @@ def invariance_residual(v: PointVectorField) -> JetPolynomial:
 
     Zero exactly when v generates a symmetry for every source function.
     """
-    pro = second_prolongation(v)
-    raw = pro.phi_xx + pro.phi_yy + pro.phi_zz - v.phi * f_prime
+    dxi = _xi_derivatives(v)
+    raw = -v.phi * f_prime
+    for a in _AXES:
+        raw = raw + _lift(_lift(v.phi, "", a, dxi[a]), a, a, dxi[a])
     return reduce_on_shell(raw)
 
 
@@ -417,12 +411,12 @@ def _solve_phi_blocks(
     the free columns of the whole system's reduced echelon form, so this is
     exact_solve's particular solution and nullspace."""
     terms: Dict[Monomial, Fraction] = {}
-    for axis, side in zip(("x", "y", "z"), sides):
+    for axis, side in zip(_AXES, sides):
         for mono, value in side.terms.items():
             _add_term(terms, _bump(mono, (_INDEX[axis], 1)), Fraction(value, 2 * (sum(mono) + 1)))
     g = JetPolynomial(terms)
     if (
-        any(2 * g.partial(axis) != side for axis, side in zip(("x", "y", "z"), sides))
+        any(2 * g.partial(axis) != side for axis, side in zip(_AXES, sides))
         or not _laplacian(g).is_zero()
         or any(sum(mono) > max_degree for mono in g.terms)
     ):
@@ -456,7 +450,7 @@ def solve_phi_for_xi(
         raise ValueError(f"unknown f_mode {f_mode!r}")
     xi1, xi2, xi3 = (JetPolynomial.coerce(c) for c in xi)
     for component in (xi1, xi2, xi3):
-        if component.uses([n for n in VARIABLES if n not in ("x", "y", "z")]):
+        if component.uses([n for n in VARIABLES if n not in _AXES]):
             raise ValueError("xi components must be polynomials in x, y, z")
     # consistency rows that do not involve phi
     pure = _conformal_rows(xi1, xi2, xi3)

@@ -114,19 +114,3 @@ def exact_solve(
     for r, piv in enumerate(pivots):
         particular[piv] = mat[r][ncols]
     return tuple(particular), nullspace_from_rref(mat, pivots, ncols)
-
-
-def exact_solve_in_span(
-    basis_rows: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> Optional[Tuple[Fraction, ...]]:
-    """Coordinates of target in the span of basis_rows, or None."""
-    if not basis_rows:
-        return None
-    # Unknowns are the span coefficients: columns of the system are the basis
-    # vectors, equations are the ambient coordinates.
-    system = [[row[i] for row in basis_rows] for i in range(len(target))]
-    solved = exact_solve(system, target)
-    if solved is None:
-        return None
-    return solved[0]
-

@@ -37,7 +37,6 @@ from .algebra import (
     X6,
     closure_check,
     commutator_table,
-    is_abelian,
 )
 from .adjoint import AdjointWord, _apply_steps, apply_word, omega_norm_sq, translation_dot
 
@@ -498,7 +497,7 @@ def _verdict(case: str, a: Optional[Fraction], generators) -> SubalgebraVerdict:
         return SubalgebraVerdict(case, a, generators, False, False, None, None, None)
     verdict = closure_check(basis)
     if verdict.closed:
-        return SubalgebraVerdict(case, a, generators, True, True, is_abelian(basis), None, None)
+        return SubalgebraVerdict(case, a, generators, True, True, verdict.abelian, None, None)
     w = verdict.witness
     return SubalgebraVerdict(case, a, generators, True, False, None, (w.i, w.j), w.value)
 
@@ -559,9 +558,9 @@ def frobenius_quadrics() -> Dict[Tuple[int, int, int], Quadric]:
         quadric: Quadric = {}
         for sign, outer, (i, j) in ((1, a, (b, c)), (-1, b, (a, c)), (1, c, (a, b))):
             for k in range(DIM):
-                if SE3.c[i][j][k]:
+                if SE3[i][j][k]:
                     key = (min(outer, k), max(outer, k))
-                    quadric[key] = quadric.get(key, 0) - sign * SE3.c[i][j][k]
+                    quadric[key] = quadric.get(key, 0) - sign * SE3[i][j][k]
         quadric = {key: value for key, value in quadric.items() if value}
         if quadric:
             table[(a, b, c)] = quadric

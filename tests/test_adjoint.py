@@ -363,8 +363,11 @@ def symbolic_automorphism_defect(i, x, y):
     img_y = apply_rows(matrix, [Fraction(c) for c in y.coeffs])
     img_bracket = apply_rows(matrix, [Fraction(c) for c in bracket(x, y).coeffs])
     out = [TrigPoly() for _ in range(DIM)]
-    for a, b, k, value in SE3.nonzero_entries():
-        out[k] = out[k] + img_x[a] * img_y[b] * value
+    for a, row in enumerate(SE3):
+        for b, entry in enumerate(row):
+            for k, value in enumerate(entry):
+                if value:
+                    out[k] = out[k] + img_x[a] * img_y[b] * value
     return tuple(img_bracket[k] - out[k] for k in range(DIM))
 
 

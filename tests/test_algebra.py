@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from se3sym.algebra import (
@@ -24,8 +24,8 @@ from se3sym.algebra import (
     commutator_table,
     format_element,
     in_span,
-    is_abelian,
 )
+from se3sym.linalg import exact_rank
 
 ZERO = (0, 0, 0, 0, 0, 0)
 
@@ -68,7 +68,7 @@ def test_structure_constants_antisymmetry():
     for i in range(6):
         for j in range(6):
             for k in range(6):
-                assert SE3.c[i][j][k] == -SE3.c[j][i][k]
+                assert SE3[i][j][k] == -SE3[j][i][k]
 
 
 small_fractions = st.fractions(
@@ -146,10 +146,34 @@ def test_closure_check_examples():
 
 def test_translations_are_abelian_and_closed():
     basis = SubalgebraBasis((X1, X2, X3))
-    assert closure_check(basis).closed
-    assert is_abelian(basis)
+    verdict = closure_check(basis)
+    assert verdict.closed
+    assert verdict.abelian is True
     table = commutator_table(basis)
     assert all(cell.is_zero() for row in table for cell in row)
+
+
+@st.composite
+def coordinate_bases(draw):
+    """One generator per axis of a random set of 1-4 axes, with coordinates
+    in -2..2 on those axes: the span is then often the coordinate subspace,
+    so closed bases, abelian or not, come up as often as open ones."""
+    support = draw(st.sets(st.integers(min_value=0, max_value=5), min_size=1, max_size=4))
+    return [
+        AlgebraElement.exact([draw(st.integers(-2, 2)) if k in support else 0 for k in range(6)])
+        for _ in support
+    ]
+
+
+@settings(deadline=None, max_examples=300)
+@given(coordinate_bases())
+def test_closure_verdict_reads_abelian_from_the_brackets(generators):
+    assume(exact_rank([g.coeffs for g in generators]) == len(generators))
+    verdict = closure_check(SubalgebraBasis(tuple(generators)))
+    if verdict.closed:
+        assert verdict.abelian == all(bracket(a, b).is_zero() for a in generators for b in generators)
+    else:
+        assert verdict.abelian is None
 
 
 def test_commutator_table_with_parameter():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from se3sym.jets import (
@@ -305,6 +305,34 @@ def test_prolongation_linearity():
             assert getattr(pro_c, name) == 2 * getattr(pro_v, name) + 3 * getattr(pro_w, name)
 
 
+# point polynomials of total degree <= 2 in x, y, z, u
+quadratic_point_polys = st.lists(
+    st.tuples(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        st.sampled_from(
+            [
+                x**a * y**b * z**c * u**d
+                for a in range(3)
+                for b in range(3)
+                for c in range(3)
+                for d in range(3)
+                if a + b + c + d <= 2
+            ]
+        ),
+    ),
+    max_size=4,
+).map(lambda entries: sum((c * m for c, m in entries), JetPolynomial.zero()))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.tuples(*[quadratic_point_polys] * 4))
+def test_residual_is_the_on_shell_diagonal_of_the_prolongation(components):
+    v = PointVectorField(*components)
+    pro = second_prolongation(v)
+    expected = reduce_on_shell(pro.phi_xx + pro.phi_yy + pro.phi_zz - v.phi * f_prime)
+    assert invariance_residual(v) == expected
+
+
 def test_mixed_lift_is_symmetric_in_derivative_order():
     rng = random.Random(7)
     for _ in range(20):
@@ -602,7 +630,7 @@ def test_vector_field_commutators_reproduce_structure_constants():
             expected = [JetPolynomial.zero() for _ in range(4)]
             for k in range(6):
                 for slot, (_, comp) in enumerate(fields[k].components()):
-                    expected[slot] = expected[slot] + SE3.c[i][j][k] * comp
+                    expected[slot] = expected[slot] + SE3[i][j][k] * comp
             for (_, got), want in zip(lie.components(), expected):
                 assert got == want
 

@@ -407,6 +407,19 @@ def test_equivalence_identity():
     assert word is not None and word.steps == ()
 
 
+def test_pitch_of_int_coordinates_is_exact():
+    assert pitch_of(AlgebraElement((0, 0, 1, 0, 0, 3))) == Fraction(1, 3)
+    assert type(pitch_of(AlgebraElement((0, 0, 1, 0, 0, 3)))) is Fraction
+
+
+def test_exact_equivalence_of_int_elements_compares_exact_pitches():
+    x = AlgebraElement((0, 0, 1, 0, 0, 3))
+    # pitch 0.333333333333333333, which rounds to the same float as 1/3
+    near = AlgebraElement((0, 0, 333333333333333333, 0, 0, 10**18))
+    assert equivalence_search(x, near) is None
+    assert equivalence_search(x, AlgebraElement((0, 0, 2, 0, 0, 6))) is not None
+
+
 def test_equivalence_iff_invariants_match():
     rng = np.random.default_rng(41)
     for _ in range(200):

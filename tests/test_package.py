@@ -17,8 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 EXPORTS = [
     "AdjointWord", "AlgebraElement", "BASIS", "Claim", "ClaimsReport", "DependentBasisError",
     "FlowResult", "JetPolynomial", "OneDimBatch", "OneDimRepresentative", "PointVectorField",
-    "SE3", "ScalarField", "ScrewForm", "SourceTerm", "StructureConstants", "SubalgebraBasis",
-    "TowerError", "TrigPoly", "TrigPolyMatrix", "X1", "X2", "X3", "X4", "X5", "X6", "ad_matrix",
+    "SE3", "ScalarField", "ScrewForm", "SourceTerm", "SubalgebraBasis", "TowerError", "TrigPoly",
+    "TrigPolyMatrix", "X1", "X2", "X3", "X4", "X5", "X6", "ad_matrix",
     "adjoint", "adjoint_closed_form", "adjoint_series", "algebra", "apply_word",
     "automorphism_defect", "bracket", "canonicalize_screw", "claims", "claims_report",
     "classify_1d_many", "classify_1d_paper", "closure_check", "commutator_table",
@@ -95,7 +95,7 @@ RECORDS = {
     "Claim", "ClaimsReport", "ClosureVerdict", "ClosureWitness", "FlowResult",
     "HyperplaneCertificate", "HyperplaneScan", "OneDimBatch", "OneDimRepresentative",
     "PhiSolutionSpace", "Prolongation", "ScalarField", "ScrewForm", "SolutionChecks",
-    "SourceTerm", "StructureConstants", "SubalgebraVerdict", "TrigPolyMatrix",
+    "SourceTerm", "SubalgebraVerdict", "TrigPolyMatrix",
 }  # fmt: skip
 
 
