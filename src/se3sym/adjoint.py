@@ -2,10 +2,11 @@
 
 Closed-form matrices are constructed from the bracket series itself, never
 transcribed from a table: write ad for the bracket operator of a basis
-generator, then exp(-s ad) is I - s ad for the nilpotent translation
-generators and I - sin(s) ad + (1 - cos(s)) ad^2 for the rotation generators
-(which satisfy ad^3 = -ad).  Matrices are stored row-wise: row j holds the
-coordinates of the image of X_j, so coordinate vectors transform as rows.
+generator, read from the structure constants SE3 by contraction; then
+exp(-s ad) is I - s ad for the nilpotent translation generators and
+I - sin(s) ad + (1 - cos(s)) ad^2 for the rotation generators (which satisfy
+ad^3 = -ad).  Matrices are stored row-wise: row j holds the coordinates of
+the image of X_j, so coordinate vectors transform as rows.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .algebra import DIM, AlgebraElement, Scalar, bracket, basis_element
+from .algebra import DIM, SE3, AlgebraElement, Scalar, bracket, basis_element
 from .poly import SparsePoly
 
 # ---------------------------------------------------------------------------
@@ -47,12 +48,6 @@ class TrigPoly(SparsePoly):
                 normal[key] = normal.get(key, 0) + (-1) ** j * math.comb(half, j) * value
         return super()._canonical(normal)
 
-    def evaluate(self, sigma):
-        """Value at one parameter (a float) or at each of an array of them."""
-        sigma = np.asarray(sigma, dtype=float)
-        total = self._at(sigma, np.cos(sigma), np.sin(sigma))
-        return float(total) if sigma.ndim == 0 else total
-
     def _at(self, sigma: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Value at the parameters sigma, given c = cos(sigma), s = sin(sigma)."""
         total = np.zeros_like(sigma)
@@ -80,23 +75,21 @@ class TrigPolyMatrix(NamedTuple):
 
 
 def ad_matrix(x: AlgebraElement) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Matrix of y -> [x, y], columns holding images of basis elements."""
+    """Matrix of y -> [x, y], columns holding images of basis elements: the
+    contraction sum_i x_i SE3[i][j][k] in row k, column j."""
     if x.tower != "exact":
         raise TypeError("ad_matrix expects the exact tower")
-    cols = []
-    for j in range(DIM):
-        image = bracket(x, basis_element(j + 1))
-        cols.append(image.coeffs)
-    return tuple(tuple(cols[j][k] for j in range(DIM)) for k in range(DIM))
+    terms = [(c, SE3[i]) for i, c in enumerate(x.coeffs) if c]
+    return tuple(
+        tuple(sum((c * t[j][k] for c, t in terms), Fraction(0)) for j in range(DIM))
+        for k in range(DIM)
+    )
 
 
-def _ad_int(i: int) -> np.ndarray:
-    """Matrix of ad X_i on ints: the structure constants are integers."""
-    return np.array(ad_matrix(basis_element(i)), dtype=np.int64)
-
-
-_AD = {i: _ad_int(i).astype(float) for i in range(1, 7)}
-_AD2 = {i: _AD[i] @ _AD[i] for i in range(1, 7)}
+# ad X_i at index i - 1, on ints: the structure constants are integers
+_AD_INT = np.array([ad_matrix(basis_element(i)) for i in range(1, DIM + 1)], dtype=np.int64)
+_AD = {i: _AD_INT[i - 1].astype(float) for i in range(1, DIM + 1)}
+_AD2 = {i: ad @ ad for i, ad in _AD.items()}
 
 
 def adjoint_series(i: int, sigma, order: int) -> np.ndarray:
@@ -122,7 +115,7 @@ def adjoint_closed_form(i: int) -> TrigPolyMatrix:
     """Exact matrix of Ad(exp(s X_i)) built from the bracket operator."""
     if not 1 <= i <= DIM:
         raise ValueError(f"generator index {i} out of range 1..6")
-    ad_int = _ad_int(i)
+    ad_int = _AD_INT[i - 1]
     ad2_int = ad_int @ ad_int
     ad3_int = ad2_int @ ad_int
     ad, ad2 = ad_int.tolist(), ad2_int.tolist()

@@ -299,8 +299,6 @@ def _normalize_to_case(coords: np.ndarray, tag: str):
 def classify_1d_paper(x: AlgebraElement) -> OneDimRepresentative:
     """Normalize a nonzero element through the seven-case split: row 0 of
     classify_1d_many of the one-row array of x."""
-    if x.is_zero():
-        raise ValueError("cannot classify the zero element")
     return classify_1d_many(x.as_array()[None]).representative(0)
 
 
@@ -338,22 +336,28 @@ def classify_1d_many(coords: np.ndarray) -> OneDimBatch:
     representatives = np.zeros((n, DIM))
     steps: List[Tuple[int, np.ndarray]] = []
 
-    def accept(rows, tag, moved):
-        """Take the rows whose moved coordinates meet the pattern of tag."""
-        ok, s, normalized, ca, cb, residual = _normalize_to_case(moved, tag)
-        kept = rows[ok]
-        out_tags[kept] = tag
-        a[kept], b[kept], scale[kept], disallowed[kept] = ca[ok], cb[ok], s[ok], residual[ok]
-        representatives[kept] = normalized[ok]
-        done[kept] = True
-        return ok
-
-    def record(rows, group_steps, taken):
-        """Append the steps of the taken rows as columns, 0 in every other row."""
+    def take(rows, group_steps, moved, targets):
+        """Check the patterns of targets in order on the moved coordinates of
+        rows, each taking the rows not yet taken that meet it, until none is
+        left; append group_steps for the taken rows as columns, 0 in every
+        other row.  Returns which of rows were taken."""
+        taken = np.zeros(len(rows), dtype=bool)
+        for tag in targets:
+            if taken.all():
+                break
+            ok, s, normalized, ca, cb, residual = _normalize_to_case(moved, tag)
+            ok &= ~taken
+            kept = rows[ok]
+            out_tags[kept] = tag
+            a[kept], b[kept], scale[kept], disallowed[kept] = ca[ok], cb[ok], s[ok], residual[ok]
+            representatives[kept] = normalized[ok]
+            taken |= ok
+        done[rows[taken]] = True
         for index, parameter in group_steps if taken.any() else ():
             column = np.zeros(n)
             column[rows[taken]] = np.broadcast_to(parameter, taken.shape)[taken]
             steps.append((index, column))
+        return taken
 
     for tag in CASE_TAGS:
         rows = np.flatnonzero(tags == tag)
@@ -362,28 +366,20 @@ def classify_1d_many(coords: np.ndarray) -> OneDimBatch:
         defined, recipe = _recipe(tag, unit[rows])
         tried = rows[defined]
         recipe = [(index, p[defined]) for index, p in recipe]
-        ok = accept(tried, tag, _apply_steps(recipe, unit[tried]))
-        record(tried, recipe, ok)
-        fallback[tried[ok]] = False
+        fallback[tried[take(tried, recipe, _apply_steps(recipe, unit[tried]), (tag,))]] = False
         # already in the case pattern without any motion
         rows = rows[~done[rows]]
-        accept(rows, tag, unit[rows])
+        take(rows, (), unit[rows], (tag,))
     translation = _is_translation(unit)
     for regime in (True, False):
         rows = np.flatnonzero(~done & (translation == regime))
-        if not rows.size:
-            continue
-        group_steps, moved, targets = _screw_steps(unit[rows], regime)
-        for target in targets:
-            left = ~done[rows]
-            accept(rows[left], target, moved[left])
-        record(rows, group_steps, done[rows])
-        if not done[rows].all():
-            row = int(rows[np.argmin(done[rows])])
-            raise AssertionError(
-                f"screw canonical form meets no fallback pattern for row {row}: "
-                f"{coords[row].tolist()}"
-            )
+        if rows.size:
+            take(rows, *_screw_steps(unit[rows], regime))
+    if not done.all():
+        row = int(np.argmin(done))
+        raise AssertionError(
+            f"screw canonical form meets no fallback pattern for row {row}: {coords[row].tolist()}"
+        )
     scale = _scale(scale, m, coords)
     return OneDimBatch(out_tags, a, b, scale, fallback, representatives, disallowed, tuple(steps))
 

@@ -61,7 +61,6 @@ class ScalarField(NamedTuple):
     the evaluator takes floats or arrays of coordinates."""
 
     evaluator: Callable
-    label: str
     source: SourceTerm
 
     def __call__(self, px, py, pz):
@@ -73,16 +72,10 @@ def builtin_fields() -> Dict[str, ScalarField]:
     source, the squared radius for the constant source 6, exp(x) for the
     linear source."""
     return {
-        "xy": ScalarField(lambda px, py, pz: px * py, "xy", SourceTerm.zero()),
-        "x2_minus_y2": ScalarField(
-            lambda px, py, pz: px * px - py * py, "x^2 - y^2", SourceTerm.zero()
-        ),
-        "r2": ScalarField(
-            lambda px, py, pz: px * px + py * py + pz * pz,
-            "x^2 + y^2 + z^2",
-            SourceTerm.constant(6.0),
-        ),
-        "exp_x": ScalarField(lambda px, py, pz: np.exp(px), "exp(x)", SourceTerm.linear()),
+        "xy": ScalarField(lambda px, py, pz: px * py, SourceTerm.zero()),
+        "x2_minus_y2": ScalarField(lambda px, py, pz: px * px - py * py, SourceTerm.zero()),
+        "r2": ScalarField(lambda px, py, pz: px * px + py * py + pz * pz, SourceTerm.constant(6.0)),
+        "exp_x": ScalarField(lambda px, py, pz: np.exp(px), SourceTerm.linear()),
     }
 
 
@@ -219,11 +212,7 @@ def rigid_motion(k: int, s, px, py, pz):
 def transform_solution(k: int, s: float, h: ScalarField) -> ScalarField:
     """The transported solution g_k(s) . h; same source family."""
     previous = h.evaluator
-    return ScalarField(
-        lambda px, py, pz: previous(*rigid_motion(k, s, px, py, pz)),
-        f"g{k}({s:g}).{h.label}",
-        h.source,
-    )
+    return ScalarField(lambda px, py, pz: previous(*rigid_motion(k, s, px, py, pz)), h.source)
 
 
 def pde_residual(h: ScalarField, source: SourceTerm, p, step: float):

@@ -14,6 +14,7 @@ from se3sym.algebra import DIM, SE3, AlgebraElement, X1, X2, X3, X4, X5, X6, bra
 from se3sym.adjoint import (
     AdjointWord,
     TrigPoly,
+    TrigPolyMatrix,
     ad_matrix,
     adjoint_series,
     apply_step,
@@ -42,6 +43,20 @@ def test_ad_matrix_of_zero_and_linearity():
     assert lhs == tuple(
         tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(rhs_a, rhs_b)
     )
+
+
+def test_ad_matrix_columns_are_brackets_with_the_basis():
+    """The contraction with SE3 against column j = [x, X_j], on random exact x
+    with some coordinates zero."""
+    rng = np.random.default_rng(5)
+    basis = (X1, X2, X3, X4, X5, X6)
+    for _ in range(50):
+        numerators = rng.integers(-9, 10, DIM) * rng.integers(0, 2, DIM)
+        x = AlgebraElement.exact([Fraction(int(p), int(q)) for p, q in zip(numerators, rng.integers(1, 7, DIM))])
+        columns = [bracket(x, basis[j]).coeffs for j in range(DIM)]
+        matrix = ad_matrix(x)
+        assert matrix == tuple(tuple(columns[j][k] for j in range(DIM)) for k in range(DIM))
+        assert all(type(v) is Fraction for row in matrix for v in row)
 
 
 def test_series_translation_terminates():
@@ -128,9 +143,12 @@ def _scalar_reference(matrix, sigma):
 
 
 def test_scalar_evaluation_keeps_its_types_and_values():
-    S = TrigPoly.variable("S")
-    assert type(S.evaluate(0.5)) is float and S.evaluate(0.5) == math.sin(0.5)
-    assert S.evaluate(SIGMAS).shape == SIGMAS.shape
+    sine = TrigPolyMatrix(((TrigPoly.variable("S"),) * 6,) * 6)
+    value = sine.evaluate(0.5)
+    assert type(value) is np.ndarray and value.dtype == np.float64 and value.shape == (6, 6)
+    assert (value == math.sin(0.5)).all()
+    assert _bits(value) == _bits(_scalar_reference(sine, 0.5))
+    assert sine.evaluate(SIGMAS).shape == (len(SIGMAS), 6, 6)
     for i in range(1, 7):
         for sigma in (0.3, -1.7, math.pi / 2, 12.5, -100.25):
             value = closed_form(i).evaluate(sigma)

@@ -158,8 +158,37 @@ def test_classify_zero_pitch_mixed_element():
 
 
 def test_classify_rejects_zero():
-    with pytest.raises(ValueError):
-        classify_1d_paper(AlgebraElement.exact([0] * 6))
+    for zero in (AlgebraElement.exact([0] * 6), AlgebraElement.numeric([0.0] * 6)):
+        with pytest.raises(ValueError, match="zero element"):
+            classify_1d_paper(zero)
+
+
+@pytest.fixture
+def pattern_checks(monkeypatch):
+    """The row counts of every _normalize_to_case call, in order."""
+    counts = []
+    check = optimal._normalize_to_case
+
+    def spy(coords, tag):
+        counts.append(len(coords))
+        return check(coords, tag)
+
+    monkeypatch.setattr(optimal, "_normalize_to_case", spy)
+    return counts
+
+
+def test_accept_step_stops_once_every_row_is_taken(pattern_checks):
+    # a Gaussian row: its recipe, its unmoved pattern, then A14 of the screw form
+    classify_1d_paper(AlgebraElement.numeric(np.random.default_rng(0).standard_normal(6)))
+    assert pattern_checks == [1, 1, 1]
+    # the recipe of A12 takes the row, so no other candidate is checked
+    pattern_checks.clear()
+    classify_1d_paper(AlgebraElement.numeric([1, 0, 0, 2, 0, 0]))
+    assert pattern_checks == [1]
+    pattern_checks.clear()
+    coords = np.vstack([np.random.default_rng(3).standard_normal((50, 6)), np.eye(6), [[1, 0, 0, 2, 0, 0]]])
+    classify_1d_many(coords)
+    assert 0 not in pattern_checks
 
 
 def test_classify_random_sweep():
