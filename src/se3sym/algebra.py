@@ -262,36 +262,36 @@ def in_span(x: AlgebraElement, basis: SubalgebraBasis) -> Optional[Tuple[Fractio
     return None if solved is None else solved[0]
 
 
-class ClosureWitness(NamedTuple):
-    i: int
-    j: int
-    value: AlgebraElement
-
-
 class ClosureVerdict(NamedTuple):
-    """closed, the first bracket outside the span of an open basis, and for
-    a closed one whether every bracket vanishes (None when open)."""
+    """Whether the span is closed.  A closed basis also gets whether every
+    bracket vanishes and its structure constants: structure[i][j] holds the
+    coordinates of [g_i, g_j] in the generators.  An open one gets the first
+    pair (i < j) whose bracket leaves the span, and that bracket."""
 
     closed: bool
-    witness: Optional[ClosureWitness] = None
     abelian: Optional[bool] = None
+    witness_pair: Optional[Tuple[int, int]] = None
+    witness: Optional[AlgebraElement] = None
+    structure: Optional[Tuple[Tuple[Tuple[Fraction, ...], ...], ...]] = None
 
 
 def closure_check(basis: SubalgebraBasis) -> ClosureVerdict:
-    """Check whether every pairwise bracket stays inside the span.
-
-    Returns the first failing ordered pair (i < j) with the offending bracket.
-    """
+    """Solve the span coordinates of every pairwise bracket, stopping at the
+    first one outside the span."""
     if not isinstance(basis, SubalgebraBasis):
         basis = SubalgebraBasis(tuple(basis))
     gens = basis.generators
+    n = len(gens)
+    structure = [[(Fraction(0),) * n] * n for _ in range(n)]
     abelian = True
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
+    for i in range(n):
+        for j in range(i + 1, n):
             value = bracket(gens[i], gens[j])
             if value.is_zero():
                 continue
             abelian = False
-            if in_span(value, basis) is None:
-                return ClosureVerdict(False, ClosureWitness(i, j, value))
-    return ClosureVerdict(True, None, abelian)
+            coords = in_span(value, basis)
+            if coords is None:
+                return ClosureVerdict(False, None, (i, j), value)
+            structure[i][j], structure[j][i] = coords, tuple(-c for c in coords)
+    return ClosureVerdict(True, abelian, None, None, tuple(map(tuple, structure)))

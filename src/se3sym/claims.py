@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .algebra import (
     closure_check,
     commutator_table,
     format_element,
-    in_span,
 )
 from .adjoint import (
     TrigPoly,
@@ -173,13 +172,6 @@ def _coords_json(element: AlgebraElement) -> List:
     if element.tower == "exact":
         return [str(c) for c in element.coeffs]
     return [float(c) for c in element.coeffs]
-
-
-def _element_in_letters(value: AlgebraElement, basis: Sequence[AlgebraElement], letters: Sequence[str]) -> str:
-    coords = in_span(value, basis)
-    if coords is None:
-        return "outside span: " + str(value)
-    return format_element(coords, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +445,8 @@ def _claim_three_four_dim() -> List[Claim]:
     closed4 = all(v.closed for v in verdicts if v.case == "A4")
 
     def render(verdict, letters):
-        """The recomputed table in the letters of the verdict's generators."""
-        generators = verdict.generators
-        return [[_element_in_letters(cell, generators, letters) for cell in row] for row in verdict.table]
+        """The structure constants in the letters of the verdict's generators."""
+        return [[format_element(cell, letters) for cell in row] for row in verdict.structure]
 
     recomputed3 = {}
     mismatch3 = False
@@ -508,10 +499,9 @@ def _claim_five_dim(samples: int, seed: int) -> Claim:
     for index, name in ((5, "dual_of_x5"), (6, "dual_of_x6")):
         gens = tuple(BASIS[t] for t in range(DIM) if t != index - 1)
         verdict = closure_check(SubalgebraBasis(gens))
-        witness = verdict.witness
         targeted[name] = {
             "closed": verdict.closed,
-            "witness_bracket": _coords_json(witness.value) if witness else None,
+            "witness_bracket": None if verdict.witness is None else _coords_json(verdict.witness),
         }
     status = CONFIRMED if scan.found is None else DISCREPANCY
     return Claim(

@@ -466,18 +466,19 @@ PRINTED_SUBALGEBRAS: Dict[str, Union[Tuple[AlgebraElement, ...], Callable]] = {
 
 
 class SubalgebraVerdict(NamedTuple):
-    """Independence, closure and, for a closed span, commutativity of one
-    printed entry; witness_pair and witness name the first bracket outside
-    the span of an open one."""
+    """Independence and the closure verdict of one printed entry: for a
+    closed span its commutativity and structure constants, for an open one
+    the first bracket outside it (see ClosureVerdict)."""
 
     case: str
     a: Optional[Fraction]
     generators: Tuple[AlgebraElement, ...]
     independent: bool
     closed: bool
-    abelian: Optional[bool]
-    witness_pair: Optional[Tuple[int, int]]
-    witness: Optional[AlgebraElement]
+    abelian: Optional[bool] = None
+    witness_pair: Optional[Tuple[int, int]] = None
+    witness: Optional[AlgebraElement] = None
+    structure: Optional[Tuple[Tuple[Tuple[Fraction, ...], ...], ...]] = None
 
     @property
     def table(self) -> List[List[AlgebraElement]]:
@@ -490,12 +491,8 @@ def _verdict(case: str, a: Optional[Fraction], generators) -> SubalgebraVerdict:
     try:
         basis = SubalgebraBasis(generators)
     except ValueError:
-        return SubalgebraVerdict(case, a, generators, False, False, None, None, None)
-    verdict = closure_check(basis)
-    if verdict.closed:
-        return SubalgebraVerdict(case, a, generators, True, True, verdict.abelian, None, None)
-    w = verdict.witness
-    return SubalgebraVerdict(case, a, generators, True, False, None, (w.i, w.j), w.value)
+        return SubalgebraVerdict(case, a, generators, False, False)
+    return SubalgebraVerdict(case, a, generators, True, *closure_check(basis))
 
 
 def _printed_verdicts(prefixes: Tuple[str, ...], a_grid: Sequence) -> List[SubalgebraVerdict]:
@@ -518,8 +515,8 @@ def verify_2d_list(a_grid: Sequence) -> List[SubalgebraVerdict]:
 
 
 def verify_3d_4d(a_grid: Sequence) -> List[SubalgebraVerdict]:
-    """Verdicts of the printed 3- and 4-dimensional subalgebras; each
-    verdict's table is the recomputed commutator table."""
+    """Verdicts of the printed 3- and 4-dimensional subalgebras; a closed
+    one's structure constants give its table in its generators' letters."""
     return _printed_verdicts(("A3", "A4"), a_grid)
 
 

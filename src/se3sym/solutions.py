@@ -169,17 +169,12 @@ def flow(
         # homogeneous field w x p from e_j, the linear part of the map
         c = _rk4_step(v, w, np.zeros((m, 3)), h[:, None])
         lin = _rk4_step(0.0, w[:, None, :], np.broadcast_to(np.eye(3), (m, 3, 3)), h[:, None, None])
-        # rows still to advance, their remaining bits of n, and the map
-        # raised to the power of the current bit
-        rows, left = np.arange(m), n
-        while rows.size:
-            odd = (left & 1).astype(bool)
-            points[rows[odd]] = _vecmat(points[rows[odd]], lin[odd]) + c[odd]
-            left = left >> 1
-            more = left > 0
-            rows, left, lin, c = rows[more], left[more], lin[more], c[more]
-            if rows.size:
-                lin, c = _matmat(lin, lin), _vecmat(c, lin) + c
+        # one pass per bit of n: the rows whose bit is set take the map, then
+        # every map is squared (a finished row's may overflow, never applied)
+        for bit in range(int(n.max(initial=0)).bit_length()):
+            odd = (n >> bit & 1).astype(bool)
+            points[odd] = _vecmat(points[odd], lin[odd]) + c[odd]
+            lin, c = _matmat(lin, lin), _vecmat(c, lin) + c
     bad = ~np.isfinite(points).all(axis=1)
     if bad.any():
         row = int(np.argmax(bad))

@@ -136,12 +136,18 @@ def test_closure_check_examples():
 
     verdict = closure_check(SubalgebraBasis((X2, X4)))
     assert not verdict.closed
-    assert (verdict.witness.i, verdict.witness.j) == (0, 1)
-    assert verdict.witness.value == X3
+    assert verdict.witness_pair == (0, 1)
+    assert verdict.witness == X3
 
     verdict = closure_check(SubalgebraBasis((X3, X1 + X4)))
     assert not verdict.closed
-    assert verdict.witness.value == -X2
+    assert verdict.witness == -X2
+
+
+def test_closure_check_of_the_whole_algebra_gives_its_structure_constants():
+    verdict = closure_check(SubalgebraBasis(BASIS))
+    assert verdict.closed and verdict.abelian is False
+    assert verdict.structure == SE3
 
 
 def test_translations_are_abelian_and_closed():

@@ -23,6 +23,7 @@ from se3sym.algebra import (
     X6,
     bracket,
     closure_check,
+    in_span,
 )
 from se3sym.adjoint import AdjointWord, apply_word, automorphism_defect
 from se3sym import optimal
@@ -579,6 +580,29 @@ def test_three_and_four_dim_tables():
     assert a4.table[0][1].is_zero() and a4.table[0][3].is_zero()
 
 
+def test_verdicts_carry_the_structure_constants_of_a_closed_span():
+    verdicts = verify_2d_list((-2, -1, 0, 1, 2, 3)) + verify_3d_4d((-2, 1, 3))
+    # the printed lists hold no dependent entry, so one is added
+    dependent = optimal._verdict("dependent", Fraction(0), (X1, X1 + 0 * X4))
+    assert not dependent.independent
+    for verdict in verdicts + [dependent]:
+        if not verdict.closed:
+            assert verdict.structure is None, (verdict.case, verdict.a)
+            continue
+        generators = verdict.generators
+        # the per-cell span coordinates are the reference
+        assert verdict.structure == tuple(
+            tuple(in_span(bracket(g, h), generators) for h in generators) for g in generators
+        ), (verdict.case, verdict.a)
+        zero = all(c == 0 for row in verdict.structure for cell in row for c in cell)
+        assert verdict.abelian == zero, (verdict.case, verdict.a)
+    a2_6 = [v for v in verdicts if v.case == "A2_6" and v.a != 0]
+    assert a2_6
+    for verdict in a2_6:
+        assert verdict.witness_pair == (0, 1)
+        assert verdict.witness == -verdict.a * X2
+
+
 # ---------------------------------------------------------------------------
 # codimension-one scan
 # ---------------------------------------------------------------------------
@@ -589,12 +613,12 @@ def test_targeted_hyperplanes_fail_closure():
     basis = SubalgebraBasis((X1, X2, X3, X4, X6))
     verdict = closure_check(basis)
     assert not verdict.closed
-    assert verdict.witness.value == X5
+    assert verdict.witness == X5
     # dropping the sixth: [X_4, X_5] = -X_6 escapes
     basis = SubalgebraBasis((X1, X2, X3, X4, X5))
     verdict = closure_check(basis)
     assert not verdict.closed
-    assert verdict.witness.value == -X6
+    assert verdict.witness == -X6
 
 
 def _reference_residuals(lams):

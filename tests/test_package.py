@@ -92,7 +92,7 @@ def test_claims_report_does_not_depend_on_blas_threads():
 LAYERS = ("adjoint", "algebra", "claims", "cli", "jets", "linalg", "optimal", "poly", "solutions")
 
 RECORDS = {
-    "Claim", "ClaimsReport", "ClosureVerdict", "ClosureWitness", "FlowResult",
+    "Claim", "ClaimsReport", "ClosureVerdict", "FlowResult",
     "HyperplaneCertificate", "HyperplaneScan", "OneDimBatch", "OneDimRepresentative",
     "PhiSolutionSpace", "Prolongation", "ScalarField", "ScrewForm", "SolutionChecks",
     "SourceTerm", "SubalgebraVerdict", "TrigPolyMatrix",
@@ -121,12 +121,12 @@ def test_only_validated_classes_are_dataclasses():
 
 
 def test_records_are_immutable_and_compare_by_value():
-    from se3sym.algebra import X1, X2, ClosureVerdict, ClosureWitness
+    from se3sym.algebra import X1, X2, ClosureVerdict
     from se3sym.optimal import HyperplaneScan
 
     cases = [
-        (ClosureVerdict(False, ClosureWitness(0, 4, X1)), ClosureVerdict(False, ClosureWitness(0, 4, X1)),
-         ClosureVerdict(False, ClosureWitness(0, 4, X2))),
+        (ClosureVerdict(False, None, (0, 4), X1), ClosureVerdict(False, None, (0, 4), X1),
+         ClosureVerdict(False, None, (0, 4), X2)),
         (HyperplaneScan(5, 7, 0.25, None), HyperplaneScan(5, 7, 0.25, None),
          HyperplaneScan(5, 7, 0.5, None)),
     ]  # fmt: skip
