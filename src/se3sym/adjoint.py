@@ -3,7 +3,7 @@
 Closed-form matrices are constructed from the bracket series itself, never
 transcribed from a table: write ad for the bracket operator of a basis
 generator, read from the structure constants SE3 by contraction; then
-exp(-s ad) is I - s ad for the nilpotent translation generators and
+exp(-s ad) is I - s ad for the translation generators (ad^2 = 0) and
 I - sin(s) ad + (1 - cos(s)) ad^2 for the rotation generators (which satisfy
 ad^3 = -ad).  Matrices are stored row-wise: row j holds the coordinates of
 the image of X_j, so coordinate vectors transform as rows.
@@ -117,17 +117,14 @@ def adjoint_closed_form(i: int) -> TrigPolyMatrix:
         raise ValueError(f"generator index {i} out of range 1..6")
     ad_int = _AD_INT[i - 1]
     ad2_int = ad_int @ ad_int
-    ad3_int = ad2_int @ ad_int
     ad, ad2 = ad_int.tolist(), ad2_int.tolist()
     if i <= 3:
-        if ad3_int.any():
-            raise AssertionError("translation generator is not nilpotent of order 3")
-        # 1 - s ad + (s^2 / 2) ad^2, keyed by exponents of (s, C, S)
-        entry = lambda r, c: TrigPoly(
-            {(0, 0, 0): int(r == c), (1, 0, 0): -ad[r][c], (2, 0, 0): Fraction(ad2[r][c], 2)}
-        )
+        if ad2_int.any():
+            raise AssertionError("translation generator does not satisfy ad^2 = 0")
+        # 1 - s ad, keyed by exponents of (s, C, S)
+        entry = lambda r, c: TrigPoly({(0, 0, 0): int(r == c), (1, 0, 0): -ad[r][c]})
     else:
-        if (ad3_int != -ad_int).any():
+        if (ad2_int @ ad_int != -ad_int).any():
             raise AssertionError("rotation generator does not satisfy ad^3 = -ad")
         # 1 - S ad + (1 - C) ad^2
         entry = lambda r, c: TrigPoly(

@@ -178,9 +178,9 @@ def _rule(x, y):
 
 
 # structure constants, [X_i, X_j] = sum_k SE3[i][j][k] X_k (0-based): the rule
-# on the basis coordinates, worked on ints and stored as Fractions
+# on the basis coordinates, worked and stored as ints (each -1, 0 or 1)
 _UNITS = [tuple(int(i == k) for k in range(DIM)) for i in range(DIM)]
-SE3 = tuple(tuple(tuple(map(Fraction, _rule(ei, ej))) for ej in _UNITS) for ei in _UNITS)
+SE3 = tuple(tuple(_rule(ei, ej) for ej in _UNITS) for ei in _UNITS)
 _NONZERO = [
     (i, j, k, value)
     for i, row in enumerate(SE3)
@@ -191,17 +191,16 @@ _NONZERO = [
 
 
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Lie bracket [x, y] through the structure constants."""
+    """Lie bracket [x, y] through the int structure constants, in x's tower."""
     _require_same_tower(x, y)
-    exact = x.tower == "exact"
-    out = [Fraction(0) if exact else 0.0] * DIM
+    out = [Fraction(0) if x.tower == "exact" else 0.0] * DIM
     xc, yc = x.coeffs, y.coeffs
     for i, j, k, value in _NONZERO:
         xi = xc[i]
         yj = yc[j]
         if xi == 0 or yj == 0:
             continue
-        out[k] += (value if exact else float(value)) * xi * yj
+        out[k] += value * xi * yj
     return AlgebraElement(tuple(out))
 
 

@@ -294,22 +294,17 @@ def _claim_laplace_extras() -> Claim:
         residuals = [substitute_zero_source(r) for r in defining_equations(field_v)]
         direct_ok = all(r.is_zero() for r in residuals)
         space = solve_phi_for_xi(field_v.xi(), "zero", 2)
-        entry = {
+        results[label] = {
             "printed_component_admissible": direct_ok,
-            "phi_space_for_xi": None,
-        }
-        if space is None:
-            entry["phi_space_for_xi"] = "inconsistent: no admissible u-part at all"
-            if label.startswith("printed_conformal"):
-                printed_all_consistent = False
-        else:
-            entry["phi_space_for_xi"] = {
+            "phi_space_for_xi": "inconsistent: no admissible u-part at all" if space is None else {
                 "u_coefficient_gauge_fixed": str(space.gauge_fixed_g()),
                 "homogeneous_dimension": space.dimension,
-            }
-        if not direct_ok and not label.startswith("printed_conformal"):
-            printed_all_consistent = False
-        results[label] = entry
+            },
+        }
+        # a printed conformal extra is consistent when its xi admits some
+        # u-part, any other extra when it is admissible as printed
+        conformal = label.startswith("printed_conformal")
+        printed_all_consistent &= space is not None if conformal else direct_ok
     # the solver settles what the corrected fields admit
     zero_space = solve_phi_for_xi(
         (JetPolynomial.zero(), JetPolynomial.zero(), JetPolynomial.zero()), "zero", 2
@@ -323,11 +318,12 @@ def _claim_laplace_extras() -> Claim:
             continue
         field_v = PointVectorField.parse(";".join(components))
         space = solve_phi_for_xi(field_v.xi(), "zero", 2)
+        gauge_fixed = None if space is None else str(space.gauge_fixed_g())
         expected_g = str(field_v.phi.partial("u"))
         results[label] = {
-            "u_coefficient_gauge_fixed": str(space.gauge_fixed_g()) if space else None,
+            "u_coefficient_gauge_fixed": gauge_fixed,
             "expected": expected_g,
-            "matches": bool(space and str(space.gauge_fixed_g()) == expected_g),
+            "matches": gauge_fixed == expected_g,
         }
     status = DISCREPANCY if not printed_all_consistent else CONFIRMED
     return Claim(
@@ -550,7 +546,7 @@ def _claim_solutions(seed: int) -> Claim:
     )
 
 
-def claims_report(samples: int = 100000, seed: int = 42) -> ClaimsReport:
+def claims_report(samples: int, seed: int) -> ClaimsReport:
     """Recompute and grade every published claim; deterministic per seed."""
     claims: List[Claim] = [_claim_commutator_table()]
     claims.extend(_claim_adjoint_matrices())

@@ -23,7 +23,6 @@ import functools
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, basis_element
@@ -110,18 +109,15 @@ class JetPolynomial(SparsePoly):
         return self._canonical(out)
 
     def substitute(self, name: str, replacement: "JetPolynomial") -> "JetPolynomial":
-        """Replace every occurrence of a variable by a polynomial."""
+        """Replace every occurrence of a variable by a polynomial: each term
+        becomes its monomial without the variable times replacement ** power."""
         idx = _INDEX[name]
-        powers = [self.constant(1)]
-        out: Dict[Monomial, Fraction] = {}
+        total = self.zero()
         for mono, coeff in self.terms.items():
             power = mono[idx]
-            while len(powers) <= power:
-                powers.append(powers[-1] * replacement)
-            base = _bump(mono, (idx, -power))
-            for rmono, rcoeff in powers[power].terms.items():
-                _add_term(out, tuple(map(add, base, rmono)), coeff * rcoeff)
-        return self._canonical(out)
+            base = self._canonical({_bump(mono, (idx, -power)): coeff})
+            total = total + base * replacement**power
+        return total
 
 
 _SOURCE_CHAIN = ((_INDEX["f"], _INDEX["f'"]), (_INDEX["f'"], _INDEX["f''"]))

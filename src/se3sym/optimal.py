@@ -535,7 +535,7 @@ class HyperplaneScan(NamedTuple):
 # a hyperplane is the kernel of a covector lam; it is a subalgebra exactly
 # when lam ^ dlam = 0 (Frobenius), with dlam(a, b) = -lam([X_a, X_b]).  Each
 # component (lam ^ dlam)(X_a, X_b, X_c), a < b < c, is a quadric in lam.
-Quadric = Dict[Tuple[int, int], Fraction]
+Quadric = Dict[Tuple[int, int], int]
 
 
 @functools.lru_cache(maxsize=None)

@@ -83,16 +83,24 @@ def test_series_rotation_example():
     assert np.allclose(matrix[2], expected, atol=1e-14)
 
 
-def test_closed_form_nilpotent_rows():
-    m1 = closed_form(1)
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_closed_form_nilpotent_rows(i):
+    """A translation's closed form is 1 - s ad X_i, row-convention: every
+    entry is delta_rc - s (ad X_i)[c][r], of degree at most 1 in s."""
+    matrix = closed_form(i)
+    ad = ad_matrix((X1, X2, X3)[i - 1])
     s = TrigPoly.variable("s")
-    one = TrigPoly.constant(1)
-    zero = TrigPoly()
-    assert m1.entries[4] == (zero, zero, s, zero, one, zero)
-    assert m1.entries[5] == (zero, -s, zero, zero, zero, one)
-    for r in (0, 1, 2, 3):
-        expected = tuple(one if c == r else zero for c in range(6))
-        assert m1.entries[r] == expected
+    for r in range(DIM):
+        for c in range(DIM):
+            entry = matrix.entries[r][c]
+            assert entry == int(r == c) - s * ad[c][r]
+            assert all(a <= 1 and not b and not d for a, b, d in entry.terms)
+    if i == 1:
+        one, zero = TrigPoly.constant(1), TrigPoly()
+        assert matrix.entries[4] == (zero, zero, s, zero, one, zero)
+        assert matrix.entries[5] == (zero, -s, zero, zero, zero, one)
+        for r in (0, 1, 2, 3):
+            assert matrix.entries[r] == tuple(one if c == r else zero for c in range(6))
 
 
 def test_closed_form_rotation_blocks():

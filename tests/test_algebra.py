@@ -71,6 +71,34 @@ def test_structure_constants_antisymmetry():
                 assert SE3[i][j][k] == -SE3[j][i][k]
 
 
+def test_structure_constants_are_unit_ints():
+    assert {type(value) for row in SE3 for entry in row for value in entry} == {int}
+    assert {value for row in SE3 for entry in row for value in entry} == {-1, 0, 1}
+
+
+# float coordinates: zeros, and magnitudes from 1e-150 to 1e150 of either sign
+wide_floats = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-150, max_value=1e150),
+    st.floats(min_value=-1e150, max_value=-1e-150),
+)
+wide_elements = st.lists(wide_floats, min_size=6, max_size=6).map(AlgebraElement.numeric)
+
+
+@given(wide_elements, wide_elements)
+def test_float_bracket_is_the_per_term_sum_bit_for_bit(x, y):
+    """Each float term is float(c) * x_i * y_j, summed in the order of the
+    structure constants, as with Fraction constants converted term by term."""
+    expected = [0.0] * 6
+    for i, row in enumerate(SE3):
+        for j, entry in enumerate(row):
+            for k, c in enumerate(entry):
+                if c and x.coeffs[i] and y.coeffs[j]:
+                    expected[k] += float(Fraction(c)) * x.coeffs[i] * y.coeffs[j]
+    got = bracket(x, y).coeffs
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
 small_fractions = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
 )

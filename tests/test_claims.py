@@ -5,6 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from se3sym import claims
 from se3sym.claims import (
     CONFIRMED,
     DISCREPANCY,
@@ -123,6 +124,24 @@ def test_laplace_claim_records_all_fields(report):
     assert fields["zero_field"]["homogeneous_dimension"] == 10
     assert fields["u_shift"]["printed_component_admissible"]
     assert fields["diagonal_translation"]["printed_component_admissible"]
+
+
+def test_laplace_rule_asks_a_printed_conformal_extra_only_for_some_u_part(monkeypatch):
+    """A printed_conformal* extra is consistent when its xi admits some
+    u-part, even if the printed field is not admissible as printed."""
+    extras = (
+        ("u_shift", "0", "0", "0", "1"),
+        ("printed_conformal_z", "2*x*z", "2*y*z", "z^2 - x^2 - y^2", "0"),
+    )
+    monkeypatch.setattr(claims, "PUBLISHED_LAPLACE_EXTRAS", extras)
+    claim = claims._claim_laplace_extras()
+    assert claim.status == CONFIRMED
+    assert claim.evidence["fields"]["printed_conformal_z"]["printed_component_admissible"] is False
+
+
+def test_laplace_rule_asks_any_other_extra_for_admissibility_as_printed(monkeypatch):
+    monkeypatch.setattr(claims, "PUBLISHED_LAPLACE_EXTRAS", (("u_shift", "0", "0", "0", "u^2"),))
+    assert claims._claim_laplace_extras().status == DISCREPANCY
 
 
 def test_one_dim_claim_has_conjugacy_words(report):

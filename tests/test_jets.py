@@ -164,6 +164,41 @@ def test_substitution_and_on_shell_idempotence():
     assert reduced == expected
 
 
+def _substitute_reference(p, name, replacement):
+    """Substitution on the term store: the powers of the replacement kept in
+    a list, each product term added at the base monomial plus its own."""
+    idx = jets.VARIABLES.index(name)
+    powers = [ONE]
+    out = {}
+    for mono, coeff in p.terms.items():
+        power = mono[idx]
+        while len(powers) <= power:
+            powers.append(powers[-1] * replacement)
+        base = mono[:idx] + (0,) + mono[idx + 1:]
+        for rmono, rcoeff in powers[power].terms.items():
+            key = tuple(a + b for a, b in zip(base, rmono))
+            out[key] = out.get(key, 0) + coeff * rcoeff
+    return JetPolynomial(out)
+
+
+def _jet_polys(max_terms):
+    """Polynomials over all jet variables and atoms, exponents up to 3."""
+    return st.lists(
+        st.tuples(
+            st.fractions(min_value=-3, max_value=3, max_denominator=3),
+            st.tuples(*[st.integers(min_value=0, max_value=3)] * jets.NVARS),
+        ),
+        max_size=max_terms,
+    ).map(lambda entries: sum((JetPolynomial({m: c}) for c, m in entries), ZERO))
+
+
+@settings(deadline=None)
+@given(_jet_polys(6), st.sampled_from(jets.VARIABLES), _jet_polys(4))
+def test_substitute_matches_the_term_store_reference(p, name, replacement):
+    """Powers of 2 and 3 matter here: the on-shell step meets u_zz linearly."""
+    assert p.substitute(name, replacement) == _substitute_reference(p, name, replacement)
+
+
 def test_parser_round_trip_fixed():
     samples = [
         "0",
