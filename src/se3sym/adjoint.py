@@ -3,9 +3,9 @@
 Closed-form matrices are constructed from the bracket series itself, never
 transcribed from a table: write ad for the bracket operator of a basis
 generator, read from the structure constants SE3 by contraction; then
-exp(-s ad) is I - s ad for the translation generators (ad^2 = 0) and
-I - sin(s) ad + (1 - cos(s)) ad^2 for the rotation generators (which satisfy
-ad^3 = -ad).  Matrices are stored row-wise: row j holds the coordinates of
+exp(-s ad) is I + ad^2 - P ad - cos(s) ad^2, with P = s and ad^2 = 0 for the
+translation generators and P = sin(s) for the rotation generators (which
+satisfy ad^3 = -ad).  Matrices are stored row-wise: row j holds the coordinates of
 the image of X_j, so coordinate vectors transform as rows.
 """
 
@@ -86,10 +86,10 @@ def ad_matrix(x: AlgebraElement) -> Tuple[Tuple[Fraction, ...], ...]:
     )
 
 
-# ad X_i at index i - 1, on ints: the structure constants are integers
+# ad X_i and (ad X_i)^2 at index i - 1, on ints: the structure constants
+# are integers.  A float operand widens the -1, 0 and 1 entries exactly.
 _AD_INT = np.array([ad_matrix(basis_element(i)) for i in range(1, DIM + 1)], dtype=np.int64)
-_AD = {i: _AD_INT[i - 1].astype(float) for i in range(1, DIM + 1)}
-_AD2 = {i: ad @ ad for i, ad in _AD.items()}
+_AD2_INT = _AD_INT @ _AD_INT
 
 
 def adjoint_series(i: int, sigma, order: int) -> np.ndarray:
@@ -102,7 +102,7 @@ def adjoint_series(i: int, sigma, order: int) -> np.ndarray:
     """
     if order < 1:
         raise ValueError("truncation order must be at least 1")
-    step = -np.multiply.outer(sigma, _AD[i])
+    step = -np.multiply.outer(np.asarray(sigma, dtype=float), _AD_INT[i - 1])
     total = np.broadcast_to(np.eye(DIM), step.shape)
     term = total
     for k in range(1, order + 1):
@@ -115,21 +115,17 @@ def adjoint_closed_form(i: int) -> TrigPolyMatrix:
     """Exact matrix of Ad(exp(s X_i)) built from the bracket operator."""
     if not 1 <= i <= DIM:
         raise ValueError(f"generator index {i} out of range 1..6")
-    ad_int = _AD_INT[i - 1]
-    ad2_int = ad_int @ ad_int
+    ad_int, ad2_int = _AD_INT[i - 1], _AD2_INT[i - 1]
+    if i <= 3 and ad2_int.any():
+        raise AssertionError("translation generator does not satisfy ad^2 = 0")
+    if i > 3 and (ad2_int @ ad_int != -ad_int).any():
+        raise AssertionError("rotation generator does not satisfy ad^3 = -ad")
+    # 1 + ad^2 - P ad - C ad^2 keyed by exponents of (s, C, S); P = s (ad^2 = 0) or S
+    p = (1, 0, 0) if i <= 3 else (0, 0, 1)
     ad, ad2 = ad_int.tolist(), ad2_int.tolist()
-    if i <= 3:
-        if ad2_int.any():
-            raise AssertionError("translation generator does not satisfy ad^2 = 0")
-        # 1 - s ad, keyed by exponents of (s, C, S)
-        entry = lambda r, c: TrigPoly({(0, 0, 0): int(r == c), (1, 0, 0): -ad[r][c]})
-    else:
-        if (ad2_int @ ad_int != -ad_int).any():
-            raise AssertionError("rotation generator does not satisfy ad^3 = -ad")
-        # 1 - S ad + (1 - C) ad^2
-        entry = lambda r, c: TrigPoly(
-            {(0, 0, 0): int(r == c) + ad2[r][c], (0, 0, 1): -ad[r][c], (0, 1, 0): -ad2[r][c]}
-        )
+    entry = lambda r, c: TrigPoly(
+        {(0, 0, 0): int(r == c) + ad2[r][c], p: -ad[r][c], (0, 1, 0): -ad2[r][c]}
+    )
     # exp(-s ad) has images in columns; transpose to the row convention.
     rows = tuple(tuple(entry(c, r) for c in range(DIM)) for r in range(DIM))
     return TrigPolyMatrix(rows)
@@ -154,11 +150,11 @@ def apply_step(i: int, sigma, coords: np.ndarray) -> np.ndarray:
     if sigma.ndim:
         sigma = sigma[:, None]
     if i <= 3:
-        return coords - sigma * (coords @ _AD[i].T)
+        return coords - sigma * (coords @ _AD_INT[i - 1].T)
     return (
         coords
-        - np.sin(sigma) * (coords @ _AD[i].T)
-        + (1.0 - np.cos(sigma)) * (coords @ _AD2[i].T)
+        - np.sin(sigma) * (coords @ _AD_INT[i - 1].T)
+        + (1.0 - np.cos(sigma)) * (coords @ _AD2_INT[i - 1].T)
     )
 
 

@@ -11,11 +11,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from se3sym.algebra import DIM, SE3, AlgebraElement, X1, X2, X3, X4, X5, X6, bracket
+from se3sym import adjoint
 from se3sym.adjoint import (
     AdjointWord,
     TrigPoly,
     TrigPolyMatrix,
     ad_matrix,
+    adjoint_closed_form,
     adjoint_series,
     apply_step,
     apply_word,
@@ -26,6 +28,54 @@ from se3sym.adjoint import (
 )
 
 SIGMAS = np.linspace(-math.pi, math.pi, 50)
+
+# Float references: ad X_i and (ad X_i)^2 as float tables, and the
+# closed form built by one rule for translations and another for rotations.
+# The module holds int tables and one rule; its floats must equal these.
+_AD_REF = {i: np.array(ad_matrix(x), dtype=float) for i, x in enumerate((X1, X2, X3, X4, X5, X6), 1)}
+_AD2_REF = {i: ad @ ad for i, ad in _AD_REF.items()}
+
+
+def _reference_series(i, sigma, order):
+    step = -np.multiply.outer(sigma, _AD_REF[i])
+    total = np.broadcast_to(np.eye(DIM), step.shape)
+    term = total
+    for k in range(1, order + 1):
+        term = term @ step / k
+        total = total + term
+    return np.swapaxes(total, -2, -1)
+
+
+def _reference_step(i, sigma, coords):
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim:
+        sigma = sigma[:, None]
+    if i <= 3:
+        return coords - sigma * (coords @ _AD_REF[i].T)
+    return (
+        coords
+        - np.sin(sigma) * (coords @ _AD_REF[i].T)
+        + (1.0 - np.cos(sigma)) * (coords @ _AD2_REF[i].T)
+    )
+
+
+def _reference_closed_form(i):
+    ad = _AD_REF[i].astype(int).tolist()
+    ad2 = _AD2_REF[i].astype(int).tolist()
+    if i <= 3:
+        entry = lambda r, c: TrigPoly({(0, 0, 0): int(r == c), (1, 0, 0): -ad[r][c]})
+    else:
+        entry = lambda r, c: TrigPoly(
+            {(0, 0, 0): int(r == c) + ad2[r][c], (0, 0, 1): -ad[r][c], (0, 1, 0): -ad2[r][c]}
+        )
+    return TrigPolyMatrix(tuple(tuple(entry(c, r) for c in range(DIM)) for r in range(DIM)))
+
+
+def _assert_same_bits(actual, expected):
+    """Equal floats of equal sign: -0.0 and 0.0 count as different."""
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
 
 
 def test_ad_matrix_column_readoff():
@@ -95,6 +145,8 @@ def test_closed_form_nilpotent_rows(i):
             entry = matrix.entries[r][c]
             assert entry == int(r == c) - s * ad[c][r]
             assert all(a <= 1 and not b and not d for a, b, d in entry.terms)
+            # the constant term before the s term, as the one rule keys them
+            assert list(entry.terms) == [k for k in ((0, 0, 0), (1, 0, 0)) if k in entry.terms]
     if i == 1:
         one, zero = TrigPoly.constant(1), TrigPoly()
         assert matrix.entries[4] == (zero, zero, s, zero, one, zero)
@@ -135,6 +187,15 @@ def test_batched_series_and_closed_form_equal_scalar_stacks_bit_for_bit():
         assert series.shape == values.shape == (len(SIGMAS), 6, 6)
         assert _bits(series) == _bits(np.stack([adjoint_series(i, float(s), 30) for s in SIGMAS]))
         assert _bits(values) == _bits(np.stack([closed_form(i).evaluate(float(s)) for s in SIGMAS]))
+        # the int tables and the one entry rule give the float references' bits
+        _assert_same_bits(series, _reference_series(i, SIGMAS, 30))
+        for sigma in (0.0, -0.0, 1e-300, -2.5):
+            _assert_same_bits(adjoint_series(i, sigma, 30), _reference_series(i, sigma, 30))
+        built, reference = adjoint_closed_form(i).entries, _reference_closed_form(i).entries
+        for row, reference_row in zip(built, reference):
+            for entry, expected in zip(row, reference_row):
+                assert list(entry.terms.items()) == list(expected.terms.items())
+                assert str(entry) == str(expected)
 
 
 def _scalar_reference(matrix, sigma):
@@ -179,6 +240,51 @@ def test_closed_forms_are_built_on_first_use_and_kept():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.fixture
+def uncached_closed_forms():
+    closed_form.cache_clear()
+    yield
+    closed_form.cache_clear()
+
+
+@pytest.mark.parametrize("i", range(1, 7))
+def test_closed_form_checks_its_identity(monkeypatch, uncached_closed_forms, i):
+    """A translation's ad^2 must vanish and a rotation's ad^3 equal -ad;
+    a table that breaks either makes the closed form raise."""
+    broken = adjoint._AD2_INT.copy()
+    if i <= 3:
+        broken[i - 1, 0, 0] = 1
+        message = r"^translation generator does not satisfy ad\^2 = 0$"
+    else:
+        broken[i - 1] = 0
+        message = r"^rotation generator does not satisfy ad\^3 = -ad$"
+    monkeypatch.setattr(adjoint, "_AD2_INT", broken)
+    with pytest.raises(AssertionError, match=message):
+        closed_form(i)
+    others = [j for j in range(1, 7) if j != i]
+    assert all(closed_form(j) == _reference_closed_form(j) for j in others)
+
+
+def _random_rows(rng, n):
+    """Rows with magnitudes from 1e-300 to 1e300, zeros of both signs among them."""
+    rows = rng.choice([-1.0, 1.0], (n, DIM)) * 10.0 ** rng.uniform(-300, 300, (n, DIM))
+    rows[rng.random((n, DIM)) < 0.2] = 0.0
+    rows[rng.random((n, DIM)) < 0.2] = -0.0
+    return rows
+
+
+def test_step_kernel_equals_float_reference_bit_for_bit():
+    rng = np.random.default_rng(31)
+    coords = _random_rows(rng, 400)
+    sigmas = rng.uniform(-math.pi, math.pi, 400)
+    sigmas[::7], sigmas[3::7], sigmas[5::7] = 0.0, -0.0, 1e-300
+    for i in range(1, 7):
+        _assert_same_bits(apply_step(i, sigmas, coords), _reference_step(i, sigmas, coords))
+        for sigma in (0.0, -0.0, 1e-300, 0.7, -2.5):
+            _assert_same_bits(apply_step(i, sigma, coords), _reference_step(i, sigma, coords))
+            _assert_same_bits(apply_step(i, sigma, coords[0]), _reference_step(i, sigma, coords[0]))
 
 
 def step_matrix(i, sigma):
