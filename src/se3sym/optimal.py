@@ -19,7 +19,7 @@ import itertools
 import math
 import numbers
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -573,6 +573,10 @@ def _diagonal_columns() -> Tuple[Tuple[int, ...], ...]:
 
 
 _CHUNK = 20000
+# rows floored and evaluated at once: a (2048, 6) float array is 96 KB, below
+# glibc's 128 KB mmap threshold, so the heap reuses every temporary; 1,024-row
+# slices made a 1M scan slower, and 4,096 saved no time
+_SLICE = 2048
 
 
 def _residuals(lam: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -622,11 +626,16 @@ def _hyperplane_basis(lam: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _integer_grid() -> np.ndarray:
     """Nonzero integer covectors with entries in -2..2, in itertools.product
-    order (read-only)."""
-    grid = np.indices((5,) * DIM).reshape(DIM, -1).T - 2.0
+    order (int8, read-only)."""
+    grid = np.indices((5,) * DIM, dtype=np.int8).reshape(DIM, -1).T - 2
     grid = grid[grid.any(axis=1)]
     grid.flags.writeable = False
     return grid
+
+
+def _sizes(total: int, size: int) -> Iterator[int]:
+    """Lengths of the consecutive pieces of at most size that make up total."""
+    return (min(size, total - start) for start in range(0, total, size))
 
 
 def hyperplane_scan(samples: int, seed: int, threshold: float = 1e-6) -> HyperplaneScan:
@@ -634,8 +643,9 @@ def hyperplane_scan(samples: int, seed: int, threshold: float = 1e-6) -> Hyperpl
     5-dimensional subalgebra (a falsification search; hyperplane_certificate
     is the proof).
 
-    found, when set, holds the float kernel rows of the first covector at or
-    below threshold as exact rationals (each the float's own value).
+    found, when set, holds the float kernel rows of the best covector in the
+    first block that has one at or below threshold, as exact rationals (each
+    the float's own value).
     """
     for name, value in (("samples", samples), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -643,23 +653,29 @@ def hyperplane_scan(samples: int, seed: int, threshold: float = 1e-6) -> Hyperpl
     if samples < 1:
         raise ValueError("samples must be at least 1")
     grid = _integer_grid()
-    # drawing block by block reads the same default_rng stream as drawing
-    # all samples at once, so the covectors do not depend on the block size
+    # blocks (the grid, then _CHUNK draws each) are taken slice by slice; the
+    # draws read the same default_rng stream as one (samples, 6) draw
     rng = np.random.default_rng(seed)
-    sizes = (min(_CHUNK, samples - start) for start in range(0, samples, _CHUNK))
-    draws = (rng.standard_normal((n, DIM)) for n in sizes)
+    grid_block = (grid[start : start + _SLICE].astype(float) for start in range(0, len(grid), _SLICE))
+    draw_blocks = (
+        (rng.standard_normal((n, DIM)) for n in _sizes(m, _SLICE)) for m in _sizes(samples, _CHUNK)
+    )
     min_residual = math.inf
     found = None
-    for lam in itertools.chain([grid], draws):
-        # a block whose residuals all exceed both the minimum so far and the
-        # threshold can neither lower the one nor hold a witness for the other
-        if _floor(lam).min() > max(min_residual, threshold) * (1 + 1e-12):
-            continue
-        unit, residuals = _residuals(lam)
-        best = int(np.argmin(residuals))
-        min_residual = min(min_residual, float(residuals[best]))
-        if found is None and residuals[best] <= threshold:
-            rows = _hyperplane_basis(unit[best])
+    for block in itertools.chain([grid_block], draw_blocks):
+        best, best_row = math.inf, None
+        for lam in block:
+            # a slice whose residuals all exceed both the minimum so far and
+            # the threshold can neither lower the one nor hold the witness
+            if _floor(lam).min() > max(min_residual, threshold) * (1 + 1e-12):
+                continue
+            unit, residuals = _residuals(lam)
+            i = int(np.argmin(residuals))
+            if residuals[i] < best:  # ties keep the block's first occurrence
+                best, best_row = float(residuals[i]), unit[i].copy()
+            min_residual = min(min_residual, best)
+        if found is None and best <= threshold:
+            rows = _hyperplane_basis(best_row)
             found = SubalgebraBasis(tuple(AlgebraElement.exact(row) for row in rows))
     return HyperplaneScan(len(grid), samples, min_residual, found)
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from se3sym.optimal import (
     classify_1d_paper,
     equivalence_search,
     _CHUNK,
+    _SLICE,
     _floor,
     _hyperplane_basis,
     _residuals,
@@ -635,13 +637,18 @@ def _reference_residuals(lams):
     return np.abs(values).max(axis=0)
 
 
+def _reference_grid():
+    """The nonzero float covectors with entries in -2..2, in
+    itertools.product order."""
+    grid = np.indices((5,) * 6).reshape(6, -1).T - 2.0
+    return grid[grid.any(axis=1)]
+
+
 def _reference_covectors(samples, seed):
     """The grid and the seeded draws of one scan, drawn in one batch and
     normalized by np.linalg.norm."""
-    grid = np.indices((5,) * 6).reshape(6, -1).T - 2.0
-    grid = grid[grid.any(axis=1)]
     draws = np.random.default_rng(seed).standard_normal((samples, 6))
-    covectors = np.vstack([grid, draws])
+    covectors = np.vstack([_reference_grid(), draws])
     return covectors / np.linalg.norm(covectors, axis=1, keepdims=True)
 
 
@@ -703,13 +710,17 @@ def test_hyperplane_scan_rejects_non_integer_counts_before_any_work(monkeypatch,
 
 
 @pytest.mark.parametrize("seed", [42, 7])
-@pytest.mark.parametrize("samples", [1, 19999, 20000, 20001, 60007])
+@pytest.mark.parametrize("samples", [1, _SLICE - 1, _SLICE, _SLICE + 1, 19999, 20000, 20001, 60007])
 def test_kernel_equals_the_reference_bit_for_bit(monkeypatch, samples, seed):
     units, residuals = _scan_blocks(monkeypatch, samples, seed)
-    assert max(len(block) for block in residuals) <= _CHUNK
+    assert max(len(block) for block in residuals) <= _SLICE
     want = _reference_covectors(samples, seed)
     assert np.array_equal(np.vstack(units), want)
     assert np.array_equal(np.concatenate(residuals), _reference_residuals(want))
+    _assert_scan_equals_the_reference(samples, seed)
+
+
+def _assert_scan_equals_the_reference(samples, seed):
     # 0.5 lies above the residual floor, so a witness is found (in the grid)
     for threshold in (1e-6, 0.5):
         scan = hyperplane_scan(samples, seed, threshold=threshold)
@@ -722,11 +733,44 @@ def test_kernel_equals_the_reference_bit_for_bit(monkeypatch, samples, seed):
             assert np.array_equal(generators, _hyperplane_basis(witness))
 
 
+@pytest.mark.parametrize("rows, samples", [(1, 45), (7, 2 * _CHUNK + 16)])
+def test_scan_in_slices_of_any_size_equals_the_reference(monkeypatch, rows, samples):
+    # the grid and every block span many slices; the 192 grid rows on the
+    # floor tie, so the witness at 0.5 is the first of them across slices
+    monkeypatch.setattr(optimal, "_SLICE", rows)
+    slices = []
+    with monkeypatch.context() as patch:
+        patch.setattr(optimal, "_floor", lambda lam: slices.append(lam.copy()) or _floor(lam))
+        hyperplane_scan(samples, 7)
+    assert max(map(len, slices)) == rows
+    covectors = np.vstack(slices)
+    covectors /= np.linalg.norm(covectors, axis=1, keepdims=True)
+    assert np.array_equal(covectors, _reference_covectors(samples, 7))
+    _assert_scan_equals_the_reference(samples, 7)
+
+
+def test_warm_scan_allocates_under_a_megabyte_over_an_int8_grid():
+    grid = optimal._integer_grid()
+    assert grid.dtype == np.int8
+    assert not grid.flags.writeable
+    assert np.array_equal(grid.astype(float), _reference_grid())
+    hyperplane_scan(1, 42)
+    for samples in (20000, 400000):
+        tracemalloc.start()
+        try:
+            hyperplane_scan(samples, 42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, (samples, peak)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
 def test_scan_faults_in_no_fresh_pages_per_block():
     # after a warm-up call, hyperplane_scan(400000, 42) incurred ~5,800
-    # minor faults when every block allocated its own temporaries and
-    # ~1,100 (its buffers, allocated once per call) with the fused kernel
+    # minor faults when every block allocated its own temporaries, ~436
+    # when a block of draws passed through the floor whole, and 0-71 now
+    # that every slice's temporaries fit in the heap glibc reuses
     code = (
         "import resource\n"
         "from se3sym.optimal import hyperplane_scan\n"
