@@ -19,7 +19,7 @@ import itertools
 import math
 import numbers
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -572,7 +572,6 @@ def _diagonal_columns() -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(sorted(i for i, _ in q)) for q in diagonal_quadrics().values())
 
 
-_CHUNK = 20000
 # rows floored and evaluated at once: a (2048, 6) float array is 96 KB, below
 # glibc's 128 KB mmap threshold, so the heap reuses every temporary; 1,024-row
 # slices made a 1M scan slower, and 4,096 saved no time
@@ -633,19 +632,14 @@ def _integer_grid() -> np.ndarray:
     return grid
 
 
-def _sizes(total: int, size: int) -> Iterator[int]:
-    """Lengths of the consecutive pieces of at most size that make up total."""
-    return (min(size, total - start) for start in range(0, total, size))
-
-
 def hyperplane_scan(samples: int, seed: int, threshold: float = 1e-6) -> HyperplaneScan:
     """Scan the deterministic grid plus random unit covectors for a closed
     5-dimensional subalgebra (a falsification search; hyperplane_certificate
     is the proof).
 
-    found, when set, holds the float kernel rows of the best covector in the
-    first block that has one at or below threshold, as exact rationals (each
-    the float's own value).
+    found, when min_residual is at or below threshold, holds the float
+    kernel rows of the first covector that reaches it, as exact rationals
+    (each the float's own value).
     """
     for name, value in (("samples", samples), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -653,30 +647,24 @@ def hyperplane_scan(samples: int, seed: int, threshold: float = 1e-6) -> Hyperpl
     if samples < 1:
         raise ValueError("samples must be at least 1")
     grid = _integer_grid()
-    # blocks (the grid, then _CHUNK draws each) are taken slice by slice; the
-    # draws read the same default_rng stream as one (samples, 6) draw
+    # the grid, then the draws, in slices of at most _SLICE rows; the draws
+    # read the same default_rng stream as one (samples, 6) draw
     rng = np.random.default_rng(seed)
-    grid_block = (grid[start : start + _SLICE].astype(float) for start in range(0, len(grid), _SLICE))
-    draw_blocks = (
-        (rng.standard_normal((n, DIM)) for n in _sizes(m, _SLICE)) for m in _sizes(samples, _CHUNK)
-    )
-    min_residual = math.inf
+    grid_slices = (grid[k : k + _SLICE].astype(float) for k in range(0, len(grid), _SLICE))
+    draws = (rng.standard_normal((min(_SLICE, samples - k), DIM)) for k in range(0, samples, _SLICE))
+    min_residual, best_row = math.inf, None
+    for lam in itertools.chain(grid_slices, draws):
+        # a slice whose residuals all exceed the minimum so far cannot lower it
+        if _floor(lam).min() > min_residual * (1 + 1e-12):
+            continue
+        unit, residuals = _residuals(lam)
+        i = int(np.argmin(residuals))
+        if residuals[i] < min_residual:  # ties keep the first occurrence
+            min_residual, best_row = float(residuals[i]), unit[i].copy()
     found = None
-    for block in itertools.chain([grid_block], draw_blocks):
-        best, best_row = math.inf, None
-        for lam in block:
-            # a slice whose residuals all exceed both the minimum so far and
-            # the threshold can neither lower the one nor hold the witness
-            if _floor(lam).min() > max(min_residual, threshold) * (1 + 1e-12):
-                continue
-            unit, residuals = _residuals(lam)
-            i = int(np.argmin(residuals))
-            if residuals[i] < best:  # ties keep the block's first occurrence
-                best, best_row = float(residuals[i]), unit[i].copy()
-            min_residual = min(min_residual, best)
-        if found is None and best <= threshold:
-            rows = _hyperplane_basis(best_row)
-            found = SubalgebraBasis(tuple(AlgebraElement.exact(row) for row in rows))
+    if min_residual <= threshold:
+        rows = _hyperplane_basis(best_row)
+        found = SubalgebraBasis(tuple(AlgebraElement.exact(row) for row in rows))
     return HyperplaneScan(len(grid), samples, min_residual, found)
 
 

@@ -232,7 +232,7 @@ def test_default_report_matches_the_golden():
 
 
 def test_million_sample_report_differs_from_the_golden_only_in_its_counts():
-    """At 10^6 draws the diagonal bound skips every block of draws after the
+    """At 10^6 draws the diagonal bound skips every slice of draws after the
     grid, so the report equals the default one but for the two counts."""
     got = json.loads(claims_report(samples=1_000_000, seed=42).to_json())
     want = json.loads(GOLDEN.read_text())

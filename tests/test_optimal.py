@@ -35,7 +35,6 @@ from se3sym.optimal import (
     classify_1d_many,
     classify_1d_paper,
     equivalence_search,
-    _CHUNK,
     _SLICE,
     _floor,
     _hyperplane_basis,
@@ -653,34 +652,28 @@ def _reference_covectors(samples, seed):
 
 
 def _reference_scan(samples, seed, threshold):
-    """(min residual, witness covector or None): the witness is the best
-    covector of the first block, the grid or _CHUNK draws, that meets the
+    """(min residual, witness covector or None): the smallest residual and
+    its first occurrence, which is the witness when it is at or below the
     threshold."""
     lams = _reference_covectors(samples, seed)
     residuals = _reference_residuals(lams)
-    grid_points = len(lams) - samples
-    assert grid_points <= _CHUNK
-    starts = [0] + list(range(grid_points, len(lams), _CHUNK))
-    for start, stop in zip(starts, starts[1:] + [len(lams)]):
-        best = start + int(np.argmin(residuals[start:stop]))
-        if residuals[best] <= threshold:
-            return residuals.min(), lams[best]
-    return residuals.min(), None
+    best = int(np.argmin(residuals))
+    return residuals[best], (lams[best] if residuals[best] <= threshold else None)
 
 
-def _scan_blocks(monkeypatch, samples, seed):
-    """Unit covectors (one per row) and residuals of every block that
+def _scan_slices(monkeypatch, samples, seed):
+    """Unit covectors (one per row) and residuals of every slice that
     hyperplane_scan(samples, seed) bounds, skipped or not."""
-    blocks = []
+    slices = []
 
     def recording_floor(lam):
-        blocks.append(lam.copy())
+        slices.append(lam.copy())
         return _floor(lam)
 
     with monkeypatch.context() as patch:
         patch.setattr(optimal, "_floor", recording_floor)
         hyperplane_scan(samples, seed)
-    units, residuals = zip(*map(_residuals, blocks))
+    units, residuals = zip(*map(_residuals, slices))
     return list(units), list(residuals)
 
 
@@ -712,8 +705,8 @@ def test_hyperplane_scan_rejects_non_integer_counts_before_any_work(monkeypatch,
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("samples", [1, _SLICE - 1, _SLICE, _SLICE + 1, 19999, 20000, 20001, 60007])
 def test_kernel_equals_the_reference_bit_for_bit(monkeypatch, samples, seed):
-    units, residuals = _scan_blocks(monkeypatch, samples, seed)
-    assert max(len(block) for block in residuals) <= _SLICE
+    units, residuals = _scan_slices(monkeypatch, samples, seed)
+    assert max(len(piece) for piece in residuals) <= _SLICE
     want = _reference_covectors(samples, seed)
     assert np.array_equal(np.vstack(units), want)
     assert np.array_equal(np.concatenate(residuals), _reference_residuals(want))
@@ -733,9 +726,9 @@ def _assert_scan_equals_the_reference(samples, seed):
             assert np.array_equal(generators, _hyperplane_basis(witness))
 
 
-@pytest.mark.parametrize("rows, samples", [(1, 45), (7, 2 * _CHUNK + 16)])
+@pytest.mark.parametrize("rows, samples", [(1, 45), (7, 40016)])
 def test_scan_in_slices_of_any_size_equals_the_reference(monkeypatch, rows, samples):
-    # the grid and every block span many slices; the 192 grid rows on the
+    # the grid and the draws span many slices; the 192 grid rows on the
     # floor tie, so the witness at 0.5 is the first of them across slices
     monkeypatch.setattr(optimal, "_SLICE", rows)
     slices = []
@@ -853,8 +846,8 @@ def test_unit_covector_residual_above_floor(certificate, lam):
 
 @pytest.mark.parametrize("samples", [20001, 40000])
 def test_chunked_drawing_matches_one_batch(monkeypatch, samples):
-    units, _ = _scan_blocks(monkeypatch, samples, 42)
-    assert max(len(block) for block in units) <= 20000
+    units, _ = _scan_slices(monkeypatch, samples, 42)
+    assert max(len(piece) for piece in units) <= _SLICE
     want = _reference_covectors(samples, 42)
     assert np.array_equal(np.vstack(units), want)
     assert hyperplane_scan(samples, 42).min_residual == _reference_residuals(want).min()
@@ -864,7 +857,8 @@ def test_scan_above_floor_returns_kernel_basis(certificate):
     threshold = 0.5
     assert threshold > certificate.residual_floor
     scan = hyperplane_scan(1000, 42, threshold=threshold)
-    # the grid comes first, so the witness is its best covector
+    # the grid comes first and holds the minimum, so the witness is its
+    # first best covector
     grid = _reference_covectors(1000, 42)[: scan.grid_points]
     residuals = _reference_residuals(grid)
     lam = grid[int(np.argmin(residuals))]
@@ -875,7 +869,7 @@ def test_scan_above_floor_returns_kernel_basis(certificate):
 
 
 # ---------------------------------------------------------------------------
-# the scan's bound: four diagonal quadrics rule a block out
+# the scan's bound: four diagonal quadrics rule a slice out
 # ---------------------------------------------------------------------------
 
 # the quadrics made of squares alone, 0-based triple -> exact coefficients
@@ -1017,3 +1011,22 @@ def test_bounded_scan_equals_the_reference_at_every_threshold(samples, seed):
         if witness is not None:
             generators = np.array([g.as_array() for g in scan.found.generators])
             assert np.array_equal(generators, _hyperplane_basis(witness))
+
+
+def test_found_is_set_exactly_when_the_minimum_is_at_or_below_the_threshold(monkeypatch):
+    min_residual = hyperplane_scan(100, 42).min_residual
+    assert hyperplane_scan(100, 42, threshold=min_residual).found is not None
+    assert hyperplane_scan(100, 42, threshold=np.nextafter(min_residual, 0)).found is None
+    # the 192 floor rows tie across slices of 7 grid rows; the first is the
+    # witness (the last is its negation, which spans the same kernel)
+    monkeypatch.setattr(optimal, "_SLICE", 7)
+    witnesses = []
+    monkeypatch.setattr(
+        optimal, "_hyperplane_basis", lambda lam: witnesses.append(lam) or _hyperplane_basis(lam)
+    )
+    first = _floor_rows()[0]
+    first = first / np.linalg.norm(first)
+    scan = hyperplane_scan(100, 42, threshold=0.5)
+    assert len(witnesses) == 1 and np.array_equal(witnesses[0], first)
+    generators = np.array([g.as_array() for g in scan.found.generators])
+    assert np.array_equal(generators, _hyperplane_basis(first))
