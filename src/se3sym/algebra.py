@@ -215,9 +215,6 @@ class SubalgebraBasis:
             raise ValueError("a basis holds between 1 and 6 generators")
         _check_independent(self.generators)
 
-    def __len__(self) -> int:
-        return len(self.generators)
-
 
 def _require_exact(elements: Sequence[AlgebraElement]) -> None:
     if any(e.tower != "exact" for e in elements):

@@ -71,9 +71,6 @@ class ClaimsReport(NamedTuple):
     seed: int
     samples: int
 
-    def statuses(self) -> Dict[str, str]:
-        return {c.claim_id: c.status for c in self.claims}
-
     def has_discrepancy(self) -> bool:
         return any(c.status == DISCREPANCY for c in self.claims)
 
@@ -366,7 +363,7 @@ def _claim_one_dim(seed: int) -> Claim:
             {
                 "from": _coords_json(left),
                 "to": _coords_json(right),
-                "word": word.to_json() if word else None,
+                "word": word.to_json() if word is not None else None,
             }
         )
     redundant = all(c["word"] is not None for c in conjugacies)

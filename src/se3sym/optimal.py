@@ -42,6 +42,8 @@ from .adjoint import AdjointWord, _apply_steps, apply_word, omega_norm_sq, trans
 
 PATTERN_TOL = 1e-9
 ZERO_TOL = 1e-12
+# hyperplane_scan's found rule: a residual at or below this is a closed hyperplane
+CLOSURE_THRESHOLD = 1e-6
 
 CASE_TAGS = ("A11", "A12", "A13", "A14", "A15", "A16", "A17")
 
@@ -632,12 +634,12 @@ def _integer_grid() -> np.ndarray:
     return grid
 
 
-def hyperplane_scan(samples: int, seed: int, threshold: float = 1e-6) -> HyperplaneScan:
+def hyperplane_scan(samples: int, seed: int) -> HyperplaneScan:
     """Scan the deterministic grid plus random unit covectors for a closed
     5-dimensional subalgebra (a falsification search; hyperplane_certificate
     is the proof).
 
-    found, when min_residual is at or below threshold, holds the float
+    found, when min_residual is at or below CLOSURE_THRESHOLD, holds the float
     kernel rows of the first covector that reaches it, as exact rationals
     (each the float's own value).
     """
@@ -662,7 +664,7 @@ def hyperplane_scan(samples: int, seed: int, threshold: float = 1e-6) -> Hyperpl
         if residuals[i] < min_residual:  # ties keep the first occurrence
             min_residual, best_row = float(residuals[i]), unit[i].copy()
     found = None
-    if min_residual <= threshold:
+    if min_residual <= CLOSURE_THRESHOLD:
         rows = _hyperplane_basis(best_row)
         found = SubalgebraBasis(tuple(AlgebraElement.exact(row) for row in rows))
     return HyperplaneScan(len(grid), samples, min_residual, found)

@@ -16,7 +16,7 @@ from se3sym.claims import (
     gaussian_sweep,
     published_adjoint_matrix,
 )
-from se3sym.adjoint import TrigPoly, closed_form
+from se3sym.adjoint import AdjointWord, TrigPoly, closed_form
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "check_claims_seed42.json"
@@ -50,7 +50,7 @@ def test_every_published_item_graded_once(report):
 
 
 def test_statuses(report):
-    statuses = report.statuses()
+    statuses = {c.claim_id: c.status for c in report.claims}
     assert statuses["commutator-table"] == CONFIRMED
     for i in (1, 2, 3, 5, 6):
         assert statuses[f"adjoint-matrix-x{i}"] == CONFIRMED
@@ -154,6 +154,15 @@ def test_one_dim_claim_has_conjugacy_words(report):
     assert recipe["verified_fallback"]["case"] == "A14"
 
 
+def test_an_identity_witness_is_reported_as_a_word(monkeypatch):
+    """The empty word witnesses a conjugacy as any other word does, so the
+    claim prints it and counts it."""
+    monkeypatch.setattr(claims, "equivalence_search", lambda left, right: AdjointWord(()))
+    evidence = _claim_one_dim(42).evidence
+    assert [c["word"] for c in evidence["conjugacy_words"]] == [[], []]
+    assert evidence["distinct_cases_conjugate_by_rotations"] is True
+
+
 @pytest.mark.parametrize("seed", [0, 42, 7])
 def test_one_dim_sweep_is_the_scripts_sweep(seed):
     """The claim's random sweep is gaussian_sweep of its own seeded stream,
@@ -192,7 +201,7 @@ def test_report_deterministic_and_schema_valid(report):
 
 def test_different_seed_still_confirms(tmp_path):
     other = claims_report(samples=500, seed=7)
-    statuses = other.statuses()
+    statuses = {c.claim_id: c.status for c in other.claims}
     assert statuses["commutator-table"] == CONFIRMED
     assert statuses["adjoint-matrix-x4"] == DISCREPANCY
 

@@ -467,7 +467,7 @@ def test_equiv_gives_a_verified_verdict_or_a_usage_error(pair):
     _validate(payload, "equiv.json")
     ex, ey = _parse_vector(x, "--x"), _parse_vector(y, "--y")
     if payload["equivalent"]:
-        word = AdjointWord.of(*payload["word"])
+        word = AdjointWord(tuple(map(tuple, payload["word"])))
         assert proportionality_scale(apply_word(word, _unit_element(ex)), _unit_element(ey)) is not None, pair
     if ex.tower == ey.tower == "exact" and pitch_of(ex) != pitch_of(ey):
         assert payload["equivalent"] is False, pair

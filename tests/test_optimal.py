@@ -443,6 +443,23 @@ def test_pitch_of_int_coordinates_is_exact():
     assert type(pitch_of(AlgebraElement((0, 0, 1, 0, 0, 3)))) is Fraction
 
 
+def test_pitch_of_float_rows_sums_products_coordinate_by_coordinate():
+    """v.w and |w|^2 are both products added from 0.0 in coordinate order:
+    w_k * w_k, not w_k ** 2, which pow rounds differently on some inputs."""
+    rows = np.random.default_rng(5).standard_normal((20000, 6))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    differ = []
+    for row in rows.tolist():
+        dot = wsq = 0.0
+        for a, b in zip(row[:3], row[3:]):
+            dot += a * b
+        for c in row[3:]:
+            wsq += c * c
+        if pitch_of(AlgebraElement.numeric(row)).hex() != (dot / wsq).hex():
+            differ.append(row)
+    assert differ == []
+
+
 def test_exact_equivalence_of_int_elements_compares_exact_pitches():
     x = AlgebraElement((0, 0, 1, 0, 0, 3))
     # pitch 0.333333333333333333, which rounds to the same float as 1/3
@@ -661,6 +678,13 @@ def _reference_scan(samples, seed, threshold):
     return residuals[best], (lams[best] if residuals[best] <= threshold else None)
 
 
+def _scan_at(samples, seed, threshold):
+    """hyperplane_scan(samples, seed) with CLOSURE_THRESHOLD at threshold."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimal, "CLOSURE_THRESHOLD", threshold)
+        return hyperplane_scan(samples, seed)
+
+
 def _scan_slices(monkeypatch, samples, seed):
     """Unit covectors (one per row) and residuals of every slice that
     hyperplane_scan(samples, seed) bounds, skipped or not."""
@@ -680,7 +704,7 @@ def _scan_slices(monkeypatch, samples, seed):
 def test_hyperplane_scan_finds_nothing_small():
     scan = hyperplane_scan(2000, 42)
     assert scan.found is None
-    assert scan.min_residual > 1e-6
+    assert optimal.CLOSURE_THRESHOLD == 1e-6 < scan.min_residual
     assert scan.grid_points >= 10**4
     assert hyperplane_scan(500, 7).found is None
 
@@ -716,7 +740,7 @@ def test_kernel_equals_the_reference_bit_for_bit(monkeypatch, samples, seed):
 def _assert_scan_equals_the_reference(samples, seed):
     # 0.5 lies above the residual floor, so a witness is found (in the grid)
     for threshold in (1e-6, 0.5):
-        scan = hyperplane_scan(samples, seed, threshold=threshold)
+        scan = _scan_at(samples, seed, threshold)
         min_residual, witness = _reference_scan(samples, seed, threshold)
         assert scan.min_residual == min_residual
         assert (scan.found is None) == (witness is None)
@@ -856,7 +880,7 @@ def test_chunked_drawing_matches_one_batch(monkeypatch, samples):
 def test_scan_above_floor_returns_kernel_basis(certificate):
     threshold = 0.5
     assert threshold > certificate.residual_floor
-    scan = hyperplane_scan(1000, 42, threshold=threshold)
+    scan = _scan_at(1000, 42, threshold)
     # the grid comes first and holds the minimum, so the witness is its
     # first best covector
     grid = _reference_covectors(1000, 42)[: scan.grid_points]
@@ -1004,7 +1028,7 @@ def test_bound_skips_only_blocks_above_it(draw_seed, n, floor_rows, bound):
 @pytest.mark.parametrize("samples, seed", [(60007, 7), (20001, 42)])
 def test_bounded_scan_equals_the_reference_at_every_threshold(samples, seed):
     for threshold in (-1.0, 1e-6, 0.3, np.nextafter(_FLOOR, 0), _FLOOR, 0.4, 0.45, 0.6, 0.9):
-        scan = hyperplane_scan(samples, seed, threshold=threshold)
+        scan = _scan_at(samples, seed, threshold)
         min_residual, witness = _reference_scan(samples, seed, threshold)
         assert scan.min_residual == min_residual
         assert (scan.found is None) == (witness is None)
@@ -1015,8 +1039,8 @@ def test_bounded_scan_equals_the_reference_at_every_threshold(samples, seed):
 
 def test_found_is_set_exactly_when_the_minimum_is_at_or_below_the_threshold(monkeypatch):
     min_residual = hyperplane_scan(100, 42).min_residual
-    assert hyperplane_scan(100, 42, threshold=min_residual).found is not None
-    assert hyperplane_scan(100, 42, threshold=np.nextafter(min_residual, 0)).found is None
+    assert _scan_at(100, 42, min_residual).found is not None
+    assert _scan_at(100, 42, np.nextafter(min_residual, 0)).found is None
     # the 192 floor rows tie across slices of 7 grid rows; the first is the
     # witness (the last is its negation, which spans the same kernel)
     monkeypatch.setattr(optimal, "_SLICE", 7)
@@ -1026,7 +1050,7 @@ def test_found_is_set_exactly_when_the_minimum_is_at_or_below_the_threshold(monk
     )
     first = _floor_rows()[0]
     first = first / np.linalg.norm(first)
-    scan = hyperplane_scan(100, 42, threshold=0.5)
+    scan = _scan_at(100, 42, 0.5)
     assert len(witnesses) == 1 and np.array_equal(witnesses[0], first)
     generators = np.array([g.as_array() for g in scan.found.generators])
     assert np.array_equal(generators, _hyperplane_basis(first))
