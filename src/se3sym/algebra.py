@@ -232,26 +232,16 @@ def _check_independent(generators: Sequence[AlgebraElement]) -> None:
         raise DependentBasisError(rank, relation[0] if relation else None)
 
 
-def _generators(basis) -> Tuple[AlgebraElement, ...]:
-    return basis.generators if isinstance(basis, SubalgebraBasis) else tuple(basis)
-
-
-def commutator_table(basis: Sequence[AlgebraElement]) -> List[List[AlgebraElement]]:
-    """All pairwise brackets of an independent generator list (a
-    SubalgebraBasis is independent already)."""
-    generators = _generators(basis)
-    if not isinstance(basis, SubalgebraBasis):
-        _check_independent(generators)
+def commutator_table(generators: Sequence[AlgebraElement]) -> List[List[AlgebraElement]]:
+    """All pairwise brackets of an independent list of exact generators."""
+    _check_independent(generators)
     return [[bracket(a, b) for b in generators] for a in generators]
 
 
 def in_span(x: AlgebraElement, basis: SubalgebraBasis) -> Optional[Tuple[Fraction, ...]]:
-    """Coordinates of x in the basis (a SubalgebraBasis or a sequence of
-    exact generators) when x lies in its span, else None."""
-    generators = _generators(basis)
-    _require_exact((x, *generators))
-    if not generators:
-        return None
+    """Coordinates of exact x in the basis when x lies in its span, else None."""
+    generators = basis.generators
+    _require_exact((x,))
     # the unknowns are the span coefficients: one column per generator, one
     # equation per coordinate
     solved = exact_solve([[g.coeffs[i] for g in generators] for i in range(DIM)], x.coeffs)
@@ -274,8 +264,6 @@ class ClosureVerdict(NamedTuple):
 def closure_check(basis: SubalgebraBasis) -> ClosureVerdict:
     """Solve the span coordinates of every pairwise bracket, stopping at the
     first one outside the span."""
-    if not isinstance(basis, SubalgebraBasis):
-        basis = SubalgebraBasis(tuple(basis))
     gens = basis.generators
     n = len(gens)
     structure = [[(Fraction(0),) * n] * n for _ in range(n)]

@@ -45,18 +45,20 @@ ZERO_TOL = 1e-12
 # hyperplane_scan's found rule: a residual at or below this is a closed hyperplane
 CLOSURE_THRESHOLD = 1e-6
 
-CASE_TAGS = ("A11", "A12", "A13", "A14", "A15", "A16", "A17")
-
-# coordinate indices (1-based) allowed to be nonzero in each representative
-CASE_ALLOWED: Dict[str, Tuple[int, ...]] = {
-    "A11": (6,),
-    "A12": (1, 4),
-    "A13": (2, 5),
-    "A14": (3, 6),
-    "A15": (1, 2, 6),
-    "A16": (1, 3, 4),
-    "A17": (2, 3, 5),
+# the published case split: per case, the coordinates (1-based) allowed to be nonzero
+# in its representative, and its recipe, one row (generator, sign, arctan, i, j) per
+# step, whose parameter is sign * (a_i / a_j), or sign * arctan(a_i / a_j) if arctan
+CASES: Dict[str, Tuple[Tuple[int, ...], Tuple[Tuple[int, int, bool, int, int], ...]]] = {
+    "A11": ((6,), ((4, -1, True, 5, 6), (5, 1, True, 4, 6))),
+    "A12": ((1, 4), ((2, -1, False, 6, 1), (3, 1, False, 5, 1))),
+    "A13": ((2, 5), ((1, 1, False, 6, 2), (3, -1, False, 4, 2))),
+    "A14": ((3, 6), ((1, -1, False, 5, 3), (2, 1, False, 4, 3))),
+    "A15": ((1, 2, 6), ((1, 1, False, 6, 2), (3, 1, False, 5, 1), (4, -1, True, 3, 2))),
+    "A16": ((1, 3, 4), ((1, -1, False, 5, 3), (2, -1, False, 6, 1), (4, -1, True, 3, 2))),
+    "A17": ((2, 3, 5), ((1, 1, False, 6, 2), (2, 1, False, 4, 3))),
 }
+CASE_TAGS = tuple(CASES)
+CASE_ALLOWED: Dict[str, Tuple[int, ...]] = {tag: allowed for tag, (allowed, _) in CASES.items()}
 
 
 class ScrewForm(NamedTuple):
@@ -235,33 +237,20 @@ def _case_tags(coords: np.ndarray) -> np.ndarray:
 
 
 def _recipe(tag: str, coords: np.ndarray):
-    """Literal parameter recipe of the published case split.
+    """The published parameter recipe of a case, evaluated on coords as its
+    CASES rows state it.
 
-    Returns (defined, steps).  A recipe is ill-defined where it divides by
-    zero or feeds zero to arctan's denominator, the documented ill-defined
-    situations, or where a parameter overflows.
+    Returns (defined, steps).  A recipe is ill-defined on a row where one of
+    its denominators is zero, inside arctan too (the documented ill-defined
+    situations), or where a parameter overflows.
     """
-    a1, a2, a3, a4, a5, a6 = (coords[..., k] for k in range(DIM))
+    defined, steps = True, []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if tag == "A11":
-            divisors, steps = (a6,), [(4, -np.arctan(a5 / a6)), (5, np.arctan(a4 / a6))]
-        elif tag == "A12":
-            divisors, steps = (a1,), [(2, -a6 / a1), (3, a5 / a1)]
-        elif tag == "A13":
-            divisors, steps = (a2,), [(1, a6 / a2), (3, -a4 / a2)]
-        elif tag == "A14":
-            divisors, steps = (a3,), [(1, -a5 / a3), (2, a4 / a3)]
-        elif tag == "A15":
-            divisors = (a1, a2)
-            steps = [(1, a6 / a2), (3, a5 / a1), (4, -np.arctan(a3 / a2))]
-        elif tag == "A16":
-            divisors = (a1, a2, a3)
-            steps = [(1, -a5 / a3), (2, -a6 / a1), (4, -np.arctan(a3 / a2))]
-        else:
-            divisors, steps = (a2, a3), [(1, a6 / a2), (2, a4 / a3)]
-    defined = np.logical_and.reduce(
-        [d != 0.0 for d in divisors] + [np.isfinite(p) for _, p in steps]
-    )
+        for index, sign, arctan, i, j in CASES[tag][1]:
+            ratio = coords[..., i - 1] / coords[..., j - 1]
+            parameter = sign * (np.arctan(ratio) if arctan else ratio)
+            defined = defined & (coords[..., j - 1] != 0.0) & np.isfinite(parameter)
+            steps.append((index, parameter))
     return defined, steps
 
 

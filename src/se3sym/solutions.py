@@ -40,18 +40,6 @@ class SourceTerm(NamedTuple):
     kind: str  # zero | constant | linear
     value: float = 0.0
 
-    @classmethod
-    def zero(cls) -> "SourceTerm":
-        return cls("zero")
-
-    @classmethod
-    def constant(cls, value: float) -> "SourceTerm":
-        return cls("constant", float(value))
-
-    @classmethod
-    def linear(cls) -> "SourceTerm":
-        return cls("linear")
-
     def __call__(self, u):
         return u if self.kind == "linear" else self.value
 
@@ -72,10 +60,10 @@ def builtin_fields() -> Dict[str, ScalarField]:
     source, the squared radius for the constant source 6, exp(x) for the
     linear source."""
     return {
-        "xy": ScalarField(lambda px, py, pz: px * py, SourceTerm.zero()),
-        "x2_minus_y2": ScalarField(lambda px, py, pz: px * px - py * py, SourceTerm.zero()),
-        "r2": ScalarField(lambda px, py, pz: px * px + py * py + pz * pz, SourceTerm.constant(6.0)),
-        "exp_x": ScalarField(lambda px, py, pz: np.exp(px), SourceTerm.linear()),
+        "xy": ScalarField(lambda px, py, pz: px * py, SourceTerm("zero")),
+        "x2_minus_y2": ScalarField(lambda px, py, pz: px * px - py * py, SourceTerm("zero")),
+        "r2": ScalarField(lambda px, py, pz: px * px + py * py + pz * pz, SourceTerm("constant", 6.0)),
+        "exp_x": ScalarField(lambda px, py, pz: np.exp(px), SourceTerm("linear")),
     }
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from se3sym.algebra import (
     BASIS,
+    DIM,
     AlgebraElement,
     SubalgebraBasis,
     X1,
@@ -329,6 +330,89 @@ def test_batch_raises_where_the_oracle_raises():
         classify_1d_many(coords[[0, 1839, 1]])
 
 
+# ---------------------------------------------------------------------------
+# the CASES table against the recipes written out branch by branch
+# ---------------------------------------------------------------------------
+
+
+def _branch_recipe(tag, coords):
+    """The seven recipes as numpy code, one branch per case: the reference
+    that the CASES rows must reproduce bit for bit."""
+    a1, a2, a3, a4, a5, a6 = (coords[..., k] for k in range(DIM))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if tag == "A11":
+            divisors, steps = (a6,), [(4, -np.arctan(a5 / a6)), (5, np.arctan(a4 / a6))]
+        elif tag == "A12":
+            divisors, steps = (a1,), [(2, -a6 / a1), (3, a5 / a1)]
+        elif tag == "A13":
+            divisors, steps = (a2,), [(1, a6 / a2), (3, -a4 / a2)]
+        elif tag == "A14":
+            divisors, steps = (a3,), [(1, -a5 / a3), (2, a4 / a3)]
+        elif tag == "A15":
+            divisors = (a1, a2)
+            steps = [(1, a6 / a2), (3, a5 / a1), (4, -np.arctan(a3 / a2))]
+        elif tag == "A16":
+            divisors = (a1, a2, a3)
+            steps = [(1, -a5 / a3), (2, -a6 / a1), (4, -np.arctan(a3 / a2))]
+        else:
+            divisors, steps = (a2, a3), [(1, a6 / a2), (2, a4 / a3)]
+    defined = np.logical_and.reduce(
+        [d != 0.0 for d in divisors] + [np.isfinite(p) for _, p in steps]
+    )
+    return defined, steps
+
+
+def _recipe_rows():
+    """10^4 Gaussian rows, in-pattern rows of every case, rows of each of the
+    eight zero patterns of v, and rows with random zero coordinates."""
+    rng = np.random.default_rng(36)
+    in_pattern = []
+    for allowed in CASE_ALLOWED.values():
+        x = rng.standard_normal((300, 6))
+        x[:, [i for i in range(6) if i + 1 not in allowed]] = 0.0
+        in_pattern.append(x)
+    v_patterns = rng.standard_normal((800, 6))
+    v_patterns[:, :3] *= [[p & 1, (p >> 1) & 1, (p >> 2) & 1] for p in np.arange(800) % 8]
+    zeros = rng.standard_normal((2000, 6)) * (rng.random((2000, 6)) < 0.6)
+    zeros = zeros[zeros.any(axis=1)]
+    gaussian = np.random.default_rng(42).standard_normal((10000, 6))
+    return np.vstack([gaussian, *in_pattern, v_patterns, zeros])
+
+
+def _bits(array):
+    return np.ascontiguousarray(array, dtype=float).view(np.uint64)
+
+
+def test_recipe_table_gives_the_branch_recipes_bit_for_bit():
+    coords = _recipe_rows()
+    for tag in CASE_TAGS:
+        defined, steps = optimal._recipe(tag, coords)
+        want_defined, want_steps = _branch_recipe(tag, coords)
+        assert np.array_equal(defined, want_defined), tag
+        assert [index for index, _ in steps] == [index for index, _ in want_steps], tag
+        for (_, got), (_, want) in zip(steps, want_steps):
+            assert np.array_equal(_bits(got)[defined], _bits(want)[defined]), tag
+    # the claim's sample takes the A12 recipe
+    sample = np.array([1.0, 0, 0, 3, 1, 2])
+    defined, steps = _branch_recipe("A12", sample)
+    assert defined and optimal._published_recipe(sample) == optimal._word(steps)
+
+
+def test_classify_through_the_table_equals_the_branch_recipes_bit_for_bit(monkeypatch):
+    coords = _recipe_rows()
+    got = classify_1d_many(coords)
+    monkeypatch.setattr(optimal, "_recipe", _branch_recipe)
+    want = classify_1d_many(coords)
+    assert not want.fallback.all()
+    assert np.array_equal(got.case_tags, want.case_tags)
+    assert np.array_equal(got.fallback, want.fallback)
+    for field in ("a", "b", "scale", "representatives", "disallowed"):
+        assert np.array_equal(_bits(getattr(got, field)), _bits(getattr(want, field))), field
+    assert [index for index, _ in got.steps] == [index for index, _ in want.steps]
+    for (_, p), (_, q) in zip(got.steps, want.steps):
+        assert np.array_equal(_bits(p), _bits(q))
+
+
 def _pitch_band(lo, hi, count, seed):
     """Gaussian w, a v perpendicular to w of similar size, plus pitch * w,
     with |pitch| log-uniform in [lo, hi] and a random sign."""
@@ -608,9 +692,10 @@ def test_verdicts_carry_the_structure_constants_of_a_closed_span():
             assert verdict.structure is None, (verdict.case, verdict.a)
             continue
         generators = verdict.generators
+        basis = SubalgebraBasis(generators)
         # the per-cell span coordinates are the reference
         assert verdict.structure == tuple(
-            tuple(in_span(bracket(g, h), generators) for h in generators) for g in generators
+            tuple(in_span(bracket(g, h), basis) for h in generators) for g in generators
         ), (verdict.case, verdict.a)
         zero = all(c == 0 for row in verdict.structure for cell in row for c in cell)
         assert verdict.abelian == zero, (verdict.case, verdict.a)
