@@ -113,8 +113,6 @@ class AlgebraElement:
     def __rmul__(self, scalar: Scalar) -> "AlgebraElement":
         if self.tower == "exact" and isinstance(scalar, float):
             raise TowerError("float scalar on an exact element")
-        if self.tower == "float" and isinstance(scalar, Fraction):
-            scalar = float(scalar)
         return AlgebraElement(tuple(scalar * a for a in self.coeffs))
 
     def __str__(self) -> str:

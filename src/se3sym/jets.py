@@ -444,7 +444,7 @@ def solve_phi_for_xi(
         raise ValueError("degree cap must be at least 2")
     if f_mode not in ("zero", "generic"):
         raise ValueError(f"unknown f_mode {f_mode!r}")
-    xi1, xi2, xi3 = (JetPolynomial.coerce(c) for c in xi)
+    xi1, xi2, xi3 = xi
     for component in (xi1, xi2, xi3):
         if component.uses([n for n in VARIABLES if n not in _AXES]):
             raise ValueError("xi components must be polynomials in x, y, z")
@@ -460,5 +460,5 @@ def solve_phi_for_xi(
 
 
 def field_from_phi(xi: Sequence[JetPolynomial], g: JetPolynomial, h: JetPolynomial) -> PointVectorField:
-    xi1, xi2, xi3 = (JetPolynomial.coerce(c) for c in xi)
+    xi1, xi2, xi3 = xi
     return PointVectorField(xi1, xi2, xi3, g * u + h)

@@ -72,10 +72,6 @@ class SparsePoly:
             raise KeyError(name)
         return cls._canonical({key: 1})
 
-    @classmethod
-    def coerce(cls, value):
-        return value if isinstance(value, cls) else cls.constant(value)
-
     # -- ring structure ----------------------------------------------------
 
     def _shift(self, value: Coefficient):

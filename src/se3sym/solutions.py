@@ -15,8 +15,6 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import AlgebraElement
-
 BOX_HALF_WIDTH = 1.0
 DEFAULT_STEP = 1e-3
 MAX_STEPS = 2**62
@@ -73,13 +71,13 @@ def builtin_fields() -> Dict[str, ScalarField]:
 
 
 class FlowResult(NamedTuple):
-    """End state of one flow, or of a batch of flows.
+    """End state of a batch of flows.
 
-    ``endpoint`` is the point (x, y, z) for a single flow and an (m, 3)
-    array for a batch; ``steps`` is the number of RK4 steps summed over rows.
+    ``endpoint`` is the (m, 3) array of end points; ``steps`` is the number
+    of RK4 steps summed over rows.
     """
 
-    endpoint: Union[Point, np.ndarray]
+    endpoint: np.ndarray
     steps: int
 
 
@@ -111,46 +109,34 @@ def _matmat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _as_rows(value, width: int, name: str) -> np.ndarray:
-    """Finite float array of one value (width 0) or one width-vector, or of
-    one of them per row."""
-    arr = np.asarray(value.as_array() if isinstance(value, AlgebraElement) else value, dtype=float)
-    single = (width,) if width else ()
-    if arr.shape[arr.ndim - len(single):] != single or arr.ndim > len(single) + 1:
-        raise ValueError(f"{name} must have shape {single} or {('m',) + single}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
-    return arr
+def flow(coords: np.ndarray, s: np.ndarray, points: np.ndarray) -> FlowResult:
+    """Integrate the one-parameter flows of m fields, one per row.
 
-
-def flow(
-    x_elem: Union[AlgebraElement, np.ndarray],
-    s: Union[float, np.ndarray],
-    p: Union[Point, np.ndarray],
-) -> FlowResult:
-    """Integrate the one-parameter flow of the field for parameter s.
-
-    x_elem is an element or an (m, 6) coordinate array, s a scalar or (m,),
-    p a point or (m, 3); they broadcast over rows.  Each row takes
+    coords is an (m, 6) array of coordinates over X_1..X_6, s the (m,)
+    parameters and points the (m, 3) start points.  Each row takes
     n = max(1, ceil(|s| / DEFAULT_STEP)) RK4 steps of size s / n.  The field
     v + w x p is affine in p, so one RK4 step is an affine map
     p -> p L + c, and n steps are applied by binary powering of that map:
     about log2(n) vectorized passes instead of n.
     """
-    coords = _as_rows(x_elem, 6, "x_elem")
-    s_arr = _as_rows(s, 0, "s")
-    points = _as_rows(p, 3, "p")
-    shape = np.broadcast_shapes(coords.shape[:-1], s_arr.shape, points.shape[:-1])
-    m = shape[0] if shape else 1
-    coords = np.broadcast_to(coords, (m, 6))
-    s_arr = np.broadcast_to(s_arr, (m,))
-    points = np.array(np.broadcast_to(points, (m, 3)))
+    coords = np.asarray(coords, dtype=float)
+    s = np.asarray(s, dtype=float)
+    points = np.array(points, dtype=float)
+    if s.ndim != 1 or coords.shape != (len(s), 6) or points.shape != (len(s), 3):
+        raise ValueError(
+            "flow takes coords (m, 6), s (m,) and points (m, 3), "
+            f"got {coords.shape}, {s.shape} and {points.shape}"
+        )
+    for name, arr in (("coords", coords), ("s", s), ("points", points)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
+    m = len(s)
 
-    wanted = np.abs(s_arr) / DEFAULT_STEP
+    wanted = np.abs(s) / DEFAULT_STEP
     if (wanted > MAX_STEPS).any():
         raise ValueError(f"|s| / step asks for more than {MAX_STEPS} steps")
     n = np.maximum(1, np.ceil(wanted)).astype(np.int64)
-    h = s_arr / n
+    h = s / n
     v, w = coords[:, :3], coords[:, 3:]
     with np.errstate(over="ignore", invalid="ignore"):
         # c is the step from the origin; row j of lin is the step of the
@@ -168,7 +154,7 @@ def flow(
         row = int(np.argmax(bad))
         raise FlowError(f"flow diverged: row {row} ends at {tuple(map(float, points[row]))}")
     steps = int(n.sum(dtype=object))
-    return FlowResult(points if shape else tuple(map(float, points[0])), steps)
+    return FlowResult(points, steps)
 
 
 # ---------------------------------------------------------------------------

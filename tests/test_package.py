@@ -52,6 +52,15 @@ def test_import_loads_no_submodule_and_no_numpy():
     assert out == "[]\n"
 
 
+def test_solutions_depends_on_numpy_alone():
+    out = _python(
+        "-c",
+        "import sys, se3sym.solutions\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'se3sym'))",
+    )
+    assert out == "['se3sym', 'se3sym.solutions']\n"
+
+
 def test_exports_resolve_on_use():
     code = (
         "import se3sym\n"

@@ -31,28 +31,33 @@ from se3sym.solutions import (
 FIELDS = builtin_fields()
 
 
+def flow_one(element, s, p):
+    """flow of one element from one point, as a one-row batch."""
+    return flow([element.as_array()], [s], [p])
+
+
 def test_flow_of_translation():
-    end = flow(X1.to_float(), 0.37, (0.1, 0.2, 0.3)).endpoint
+    end = flow_one(X1, 0.37, (0.1, 0.2, 0.3)).endpoint[0]
     assert np.allclose(end, (0.47, 0.2, 0.3), atol=1e-12)
 
 
 def test_flow_of_rotation_quarter_turn():
-    end = flow(X4.to_float(), math.pi / 2, (0.0, 1.0, 0.0)).endpoint
+    end = flow_one(X4, math.pi / 2, (0.0, 1.0, 0.0)).endpoint[0]
     assert np.allclose(end, (0.0, 0.0, 1.0), atol=1e-8)
 
 
 def test_flow_zero_parameter():
     for i, gen in enumerate((X1, X4, X6)):
-        assert flow(gen.to_float(), 0.0, (0.3, -0.2, 0.5)).endpoint == (0.3, -0.2, 0.5)
+        assert tuple(flow_one(gen, 0.0, (0.3, -0.2, 0.5)).endpoint[0]) == (0.3, -0.2, 0.5)
 
 
 def test_flow_reversibility():
     rng = np.random.default_rng(3)
     element = AlgebraElement.numeric(rng.standard_normal(6))
     p = (0.2, -0.4, 0.1)
-    forward = flow(element, 0.9, p).endpoint
-    back = flow(element, -0.9, forward).endpoint
-    assert np.abs(np.array(back) - np.array(p)).max() < 1e-8
+    forward = flow_one(element, 0.9, p).endpoint[0]
+    back = flow_one(element, -0.9, forward).endpoint[0]
+    assert np.abs(back - np.array(p)).max() < 1e-8
 
 
 def test_rotation_flow_preserves_radius():
@@ -61,14 +66,14 @@ def test_rotation_flow_preserves_radius():
     for k in (4, 5, 6):
         gen = AlgebraElement.numeric([0] * (k - 1) + [1] + [0] * (6 - k))
         for s in (-1.0, 0.5, 1.0):
-            q = flow(gen, s, p).endpoint
+            q = flow_one(gen, s, p).endpoint[0]
             assert abs(sum(t * t for t in q) - r0) < 1e-8
 
 
 def test_flow_result_metadata():
-    result = flow(X1.to_float(), 0.25, (0.0, 0.0, 0.0))
+    result = flow_one(X1, 0.25, (0.0, 0.0, 0.0))
     assert result.steps == 250
-    assert len(result.endpoint) == 3
+    assert result.endpoint.shape == (1, 3)
 
 
 def test_transform_translation_values():
@@ -359,7 +364,7 @@ box_points = st.lists(st.floats(-1, 1), min_size=3, max_size=3)
 @given(coordinates, parameters, box_points)
 def test_propagator_matches_the_step_loop(coeffs, s, p):
     want = _rk4_loop(coeffs, s, p)
-    got = np.array(flow(AlgebraElement.numeric(coeffs), s, p).endpoint)
+    got = flow([coeffs], [s], [p]).endpoint[0]
     assert np.abs(got - want).max() <= 1e-11 * max(1.0, np.abs(want).max())
 
 
@@ -372,19 +377,20 @@ def test_batch_rows_equal_single_flows_bit_for_bit(rows):
     batch = flow(coords, s, points)
     assert batch.endpoint.shape == (len(rows), 3)
     for i in range(len(rows)):
-        single = flow(AlgebraElement.numeric(coords[i]), s[i], tuple(points[i]))
-        assert single.endpoint == tuple(batch.endpoint[i])
+        single = flow(coords[i : i + 1], s[i : i + 1], points[i : i + 1])
+        assert tuple(single.endpoint[0]) == tuple(batch.endpoint[i])
 
 
 @settings(deadline=None)
 @given(st.lists(st.floats(-1e100, 1e100), min_size=6, max_size=6), box_points)
 def test_zero_parameter_is_the_identity(coeffs, p):
-    assert flow(AlgebraElement.numeric(coeffs), 0.0, p).endpoint == tuple(p)
+    assert tuple(flow([coeffs], [0.0], [p]).endpoint[0]) == tuple(p)
 
 
 def test_steps_sum_over_rows():
     s = np.array([0.0, 0.25, -1.0, 1e-4])
-    assert flow(X4.to_float(), s, (0.1, 0.2, 0.3)).steps == 1 + 250 + 1000 + 1
+    coords, points = np.tile(X4.as_array(), (4, 1)), np.tile((0.1, 0.2, 0.3), (4, 1))
+    assert flow(coords, s, points).steps == 1 + 250 + 1000 + 1
     # the claims grid: six generators x nine parameters x three points
     coords = np.repeat(np.eye(6), len(FLOW_S_GRID) * len(FLOW_POINTS), axis=0)
     s_rows = np.tile(np.repeat(FLOW_S_GRID, len(FLOW_POINTS)), 6)
@@ -392,43 +398,67 @@ def test_steps_sum_over_rows():
     assert flow(coords, s_rows, p_rows).steps == 90_018
 
 
-def test_batch_broadcasts_one_element_over_rows():
+def test_one_element_over_many_rows_equals_one_row_calls():
     s = np.linspace(-1, 1, 5)
-    batch = flow(X6.to_float(), s, (0.3, 0.4, 0.5)).endpoint
+    coords, points = np.tile(X6.as_array(), (5, 1)), np.tile((0.3, 0.4, 0.5), (5, 1))
+    batch = flow(coords, s, points).endpoint
     assert batch.shape == (5, 3)
     for i, si in enumerate(s):
-        assert tuple(batch[i]) == flow(X6.to_float(), si, (0.3, 0.4, 0.5)).endpoint
+        assert tuple(batch[i]) == tuple(flow_one(X6, si, (0.3, 0.4, 0.5)).endpoint[0])
 
 
 @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
 def test_flow_rejects_non_finite_parameter(s):
     with pytest.raises(ValueError, match="s must be finite"):
-        flow(X1.to_float(), s, (0.0, 0.0, 0.0))
+        flow_one(X1, s, (0.0, 0.0, 0.0))
 
 
 def test_flow_rejects_non_finite_element_and_point():
-    with pytest.raises(ValueError, match="x_elem"):
-        flow(np.array([1.0, 0, 0, 0, 0, math.nan]), 0.5, (0.0, 0.0, 0.0))
-    with pytest.raises(ValueError, match="p must be finite"):
-        flow(X1.to_float(), 0.5, (0.0, math.inf, 0.0))
-    with pytest.raises(ValueError, match="p must have shape"):
-        flow(X1.to_float(), 0.5, (0.0, 0.0))
+    with pytest.raises(ValueError, match="coords must be finite"):
+        flow([[1.0, 0, 0, 0, 0, math.nan]], [0.5], [(0.0, 0.0, 0.0)])
+    with pytest.raises(ValueError, match="points must be finite"):
+        flow_one(X1, 0.5, (0.0, math.inf, 0.0))
+    with pytest.raises(ValueError, match=r"points \(m, 3\)"):
+        flow_one(X1, 0.5, (0.0, 0.0))
+
+
+ROW = ([[1.0, 0, 0, 0, 0, 0]], [0.5], [[0.1, 0.2, 0.3]])
+
+
+@pytest.mark.parametrize(
+    "coords, s, points",
+    [
+        (ROW[0] * 2, ROW[1], ROW[2]),  # row counts differ
+        (ROW[0], ROW[1] * 2, ROW[2]),
+        (ROW[0], ROW[1], ROW[2] * 2),
+        ([[1.0, 0, 0, 0, 0]], ROW[1], ROW[2]),  # widths other than 6 and 3
+        (ROW[0], ROW[1], [[0.1, 0.2, 0.3, 0.4]]),
+        (ROW[0], 0.5, ROW[2]),  # a 0-d s
+        (ROW[0], [ROW[1]], ROW[2]),  # a 2-d s
+        (ROW[0][0], ROW[1], ROW[2]),  # a single element or point, not a row
+        (ROW[0], ROW[1], ROW[2][0]),
+    ],  # non-finite entries: the two tests above
+)
+def test_flow_contract_violations_are_value_errors(coords, s, points):
+    assert flow(*ROW).endpoint.shape == (1, 3)
+    with pytest.raises(ValueError):
+        flow(coords, s, points)
 
 
 def test_huge_parameter_returns_in_log_time():
     element = AlgebraElement.numeric([1, 2, 3, 0.4, 0.5, 0.6])
     start = time.perf_counter()
-    result = flow(element, 1e9, (0.1, 0.2, 0.3))
+    result = flow_one(element, 1e9, (0.1, 0.2, 0.3))
     assert time.perf_counter() - start < 0.5
     assert result.steps == 10**12
-    assert all(math.isfinite(t) for t in result.endpoint)
+    assert np.isfinite(result.endpoint).all()
 
 
 def test_step_count_beyond_the_limit_is_a_value_error():
     start = time.perf_counter()
     for s in (1e300, -1e300, 1e20):
         with pytest.raises(ValueError, match="steps"):
-            flow(X1.to_float(), s, (0.0, 0.0, 0.0))
+            flow_one(X1, s, (0.0, 0.0, 0.0))
     assert time.perf_counter() - start < 0.5
 
 
@@ -436,7 +466,7 @@ def test_non_finite_endpoint_is_a_flow_error():
     # h|w| = 100 per step: the RK4 step map is unstable and the state overflows
     element = AlgebraElement.numeric([1, 2, 3, 1e5, 1e5, 1e5])
     with pytest.raises(FlowError):
-        flow(element, 1e3, (0.1, 0.2, 0.3))
+        flow_one(element, 1e3, (0.1, 0.2, 0.3))
 
 
 # ---------------------------------------------------------------------------
