@@ -77,7 +77,7 @@ class ClaimsReport(NamedTuple):
     def to_json(self) -> str:
         claims = [{"id": c.claim_id, "status": c.status, "evidence": c.evidence} for c in self.claims]
         payload = {"seed": self.seed, "samples": self.samples, "claims": claims}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +496,9 @@ def _claim_five_dim(samples: int, seed: int) -> Claim:
             "closed": verdict.closed,
             "witness_bracket": None if verdict.witness is None else _coords_json(verdict.witness),
         }
-    status = CONFIRMED if scan.found is None else DISCREPANCY
+    # the scan contradicts the certificate with a found covector or a minimum below the floor
+    below_floor = scan.min_residual < float(certificate.residual_floor) * (1 - 1e-12)
+    status = DISCREPANCY if scan.found is not None or below_floor else CONFIRMED
     return Claim(
         "no-five-dim-subalgebra",
         status,

@@ -20,7 +20,6 @@ _ONE = Fraction(1)
 
 def _integer_row(row) -> List[int]:
     """The row times the lcm of its denominators, as ints."""
-    row = [e if isinstance(e, (int, Fraction)) else Fraction(e) for e in row]
     scale = lcm(*(e.denominator for e in row))
     return [e.numerator * (scale // e.denominator) for e in row]
 

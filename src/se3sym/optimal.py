@@ -520,7 +520,7 @@ class HyperplaneScan(NamedTuple):
     grid_points: int
     random_samples: int
     min_residual: float
-    found: Optional[SubalgebraBasis]
+    found: Optional[Tuple[float, ...]]
 
 
 # a hyperplane is the kernel of a covector lam; it is a subalgebra exactly
@@ -605,14 +605,6 @@ def _floor(lam: np.ndarray) -> np.ndarray:
     return largest / sum(squares[1:], squares[0])
 
 
-def _hyperplane_basis(lam: np.ndarray) -> np.ndarray:
-    """Rows spanning the kernel of the covector lam."""
-    pivot = int(np.argmax(np.abs(lam)))
-    rows = np.delete(np.eye(DIM), pivot, axis=0)
-    rows[:, pivot] = -np.delete(lam, pivot) / lam[pivot]
-    return rows
-
-
 @functools.lru_cache(maxsize=None)
 def _integer_grid() -> np.ndarray:
     """Nonzero integer covectors with entries in -2..2, in itertools.product
@@ -628,9 +620,8 @@ def hyperplane_scan(samples: int, seed: int) -> HyperplaneScan:
     5-dimensional subalgebra (a falsification search; hyperplane_certificate
     is the proof).
 
-    found, when min_residual is at or below CLOSURE_THRESHOLD, holds the float
-    kernel rows of the first covector that reaches it, as exact rationals
-    (each the float's own value).
+    found, when min_residual is at or below CLOSURE_THRESHOLD, is the first
+    unit covector that reaches it, as six floats.
     """
     for name, value in (("samples", samples), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -651,11 +642,8 @@ def hyperplane_scan(samples: int, seed: int) -> HyperplaneScan:
         unit, residuals = _residuals(lam)
         i = int(np.argmin(residuals))
         if residuals[i] < min_residual:  # ties keep the first occurrence
-            min_residual, best_row = float(residuals[i]), unit[i].copy()
-    found = None
-    if min_residual <= CLOSURE_THRESHOLD:
-        rows = _hyperplane_basis(best_row)
-        found = SubalgebraBasis(tuple(AlgebraElement.exact(row) for row in rows))
+            min_residual, best_row = float(residuals[i]), tuple(unit[i].tolist())
+    found = best_row if min_residual <= CLOSURE_THRESHOLD else None
     return HyperplaneScan(len(grid), samples, min_residual, found)
 
 

@@ -17,6 +17,7 @@ from se3sym.claims import (
     published_adjoint_matrix,
 )
 from se3sym.adjoint import AdjointWord, TrigPoly, closed_form
+from se3sym.optimal import HyperplaneScan
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "check_claims_seed42.json"
@@ -190,6 +191,23 @@ def test_five_dim_claim_label(report):
     assert claim.evidence["min_closure_residual"] > 1e-6
     assert not claim.evidence["closed_hyperplane_found"]
     assert claim.evidence["targeted_hyperplanes"]["dual_of_x5"]["closed"] is False
+
+
+def test_a_scan_minimum_below_the_proved_floor_is_a_discrepancy(monkeypatch):
+    # 0.3 lies below the certificate's 2/5 by far more than rounding, with no
+    # covector found: the scan contradicts the proof all the same
+    monkeypatch.setattr(claims, "hyperplane_scan", lambda samples, seed: HyperplaneScan(1, 1, 0.3, None))
+    claim = claims._claim_five_dim(100, 42)
+    assert claim.status == DISCREPANCY
+    assert claim.evidence["min_closure_residual"] == 0.3
+    assert not claim.evidence["closed_hyperplane_found"]
+
+
+def test_report_json_refuses_nan():
+    evidence = {"max_residual": float("nan")}
+    report = claims.ClaimsReport((claims.Claim("commutator-table", CONFIRMED, evidence),), 42, 1)
+    with pytest.raises(ValueError):
+        report.to_json()
 
 
 def test_report_deterministic_and_schema_valid(report):

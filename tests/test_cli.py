@@ -353,7 +353,7 @@ def test_classify_and_equiv_of_a_rotation_off_the_origin():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 1: far from the origin the screw canonical form misses "
+    reason="ROADMAP items 16 and 3: far from the origin the screw canonical form misses "
     "X_6 + pX_3 by more than PATTERN_TOL, and classify raises AssertionError",
 )
 def test_classify_of_a_rotation_far_from_the_origin():

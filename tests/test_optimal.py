@@ -38,7 +38,6 @@ from se3sym.optimal import (
     equivalence_search,
     _SLICE,
     _floor,
-    _hyperplane_basis,
     _residuals,
     diagonal_quadrics,
     frobenius_quadrics,
@@ -828,11 +827,19 @@ def _assert_scan_equals_the_reference(samples, seed):
         scan = _scan_at(samples, seed, threshold)
         min_residual, witness = _reference_scan(samples, seed, threshold)
         assert scan.min_residual == min_residual
-        assert (scan.found is None) == (witness is None)
-        if witness is not None:
-            assert all(g.tower == "exact" for g in scan.found.generators)
-            generators = np.array([g.as_array() for g in scan.found.generators])
-            assert np.array_equal(generators, _hyperplane_basis(witness))
+        _assert_found_is_the_witness(scan, witness, threshold)
+
+
+def _assert_found_is_the_witness(scan, witness, threshold):
+    """found is None exactly when the reference has no witness, and else is
+    six floats equal to the witness covector bit for bit, with a residual at
+    or below the threshold."""
+    assert (scan.found is None) == (witness is None)
+    if witness is not None:
+        assert type(scan.found) is tuple and len(scan.found) == 6
+        assert all(type(x) is float for x in scan.found)
+        assert np.array_equal(np.array(scan.found), witness)
+        assert _reference_residuals(np.array([scan.found]))[0] <= threshold
 
 
 @pytest.mark.parametrize("rows, samples", [(1, 45), (7, 40016)])
@@ -962,7 +969,7 @@ def test_chunked_drawing_matches_one_batch(monkeypatch, samples):
     assert hyperplane_scan(samples, 42).min_residual == _reference_residuals(want).min()
 
 
-def test_scan_above_floor_returns_kernel_basis(certificate):
+def test_scan_above_floor_returns_the_first_best_covector(certificate):
     threshold = 0.5
     assert threshold > certificate.residual_floor
     scan = _scan_at(1000, 42, threshold)
@@ -972,9 +979,7 @@ def test_scan_above_floor_returns_kernel_basis(certificate):
     residuals = _reference_residuals(grid)
     lam = grid[int(np.argmin(residuals))]
     assert residuals.min() <= threshold
-    generators = np.array([g.as_array() for g in scan.found.generators])
-    assert generators.shape == (5, 6)
-    assert np.abs(generators @ lam).max() < 1e-12
+    _assert_found_is_the_witness(scan, lam, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -1116,10 +1121,7 @@ def test_bounded_scan_equals_the_reference_at_every_threshold(samples, seed):
         scan = _scan_at(samples, seed, threshold)
         min_residual, witness = _reference_scan(samples, seed, threshold)
         assert scan.min_residual == min_residual
-        assert (scan.found is None) == (witness is None)
-        if witness is not None:
-            generators = np.array([g.as_array() for g in scan.found.generators])
-            assert np.array_equal(generators, _hyperplane_basis(witness))
+        _assert_found_is_the_witness(scan, witness, threshold)
 
 
 def test_found_is_set_exactly_when_the_minimum_is_at_or_below_the_threshold(monkeypatch):
@@ -1127,15 +1129,8 @@ def test_found_is_set_exactly_when_the_minimum_is_at_or_below_the_threshold(monk
     assert _scan_at(100, 42, min_residual).found is not None
     assert _scan_at(100, 42, np.nextafter(min_residual, 0)).found is None
     # the 192 floor rows tie across slices of 7 grid rows; the first is the
-    # witness (the last is its negation, which spans the same kernel)
+    # witness, not the last (its negation, which has the same kernel)
     monkeypatch.setattr(optimal, "_SLICE", 7)
-    witnesses = []
-    monkeypatch.setattr(
-        optimal, "_hyperplane_basis", lambda lam: witnesses.append(lam) or _hyperplane_basis(lam)
-    )
     first = _floor_rows()[0]
     first = first / np.linalg.norm(first)
-    scan = _scan_at(100, 42, 0.5)
-    assert len(witnesses) == 1 and np.array_equal(witnesses[0], first)
-    generators = np.array([g.as_array() for g in scan.found.generators])
-    assert np.array_equal(generators, _hyperplane_basis(first))
+    _assert_found_is_the_witness(_scan_at(100, 42, 0.5), first, 0.5)
