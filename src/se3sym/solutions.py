@@ -5,8 +5,8 @@ Fields are plain evaluators on the test box [-1, 1]^3, taking coordinates
 as floats or as arrays (the built-in families are entire functions, so
 composing with rigid motions keeps them total).  Residuals use central
 second differences, evaluated over arrays of points; flows use a fixed-step
-classical fourth-order integrator, applied through the affine map of one
-step, so everything is deterministic.
+classical fourth-order integrator, applied as powers of the homogeneous 4x4
+matrix of one step, so everything is deterministic.
 """
 
 from __future__ import annotations
@@ -81,47 +81,21 @@ class FlowResult(NamedTuple):
     steps: int
 
 
-def _rk4_step(v: np.ndarray, w: np.ndarray, p: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One classical RK4 step of size h along the field v + w x p.
-
-    Arguments broadcast over leading axes; the last axis holds components.
-    """
-
-    def velocity(q: np.ndarray) -> np.ndarray:
-        return v + np.cross(w, q)
-
-    a = velocity(p)
-    b = velocity(p + 0.5 * h * a)
-    c = velocity(p + 0.5 * h * b)
-    d = velocity(p + h * c)
-    return p + (h / 6.0) * (a + 2 * b + 2 * c + d)
-
-
-def _vecmat(p: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Row vectors times 3x3 matrices, row by row, with a fixed summation order."""
-    return p[:, 0:1] * m[:, 0] + p[:, 1:2] * m[:, 1] + p[:, 2:3] * m[:, 2]
-
-
-def _matmat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products of 3x3 matrices, row by row, with a fixed summation order."""
-    return (
-        a[:, :, 0:1] * b[:, None, 0] + a[:, :, 1:2] * b[:, None, 1] + a[:, :, 2:3] * b[:, None, 2]
-    )
-
-
 def flow(coords: np.ndarray, s: np.ndarray, points: np.ndarray) -> FlowResult:
     """Integrate the one-parameter flows of m fields, one per row.
 
     coords is an (m, 6) array of coordinates over X_1..X_6, s the (m,)
     parameters and points the (m, 3) start points.  Each row takes
-    n = max(1, ceil(|s| / DEFAULT_STEP)) RK4 steps of size s / n.  The field
-    v + w x p is affine in p, so one RK4 step is an affine map
-    p -> p L + c, and n steps are applied by binary powering of that map:
-    about log2(n) vectorized passes instead of n.
+    n = max(1, ceil(|s| / DEFAULT_STEP)) RK4 steps of size s / n.  In
+    homogeneous coordinates [p, 1] the field v + w x p is linear, [p, 1] A,
+    and one RK4 step of size h is the 4x4 matrix
+    R = I + Z + Z^2/2 + Z^3/6 + Z^4/24 with Z = h A, the method's stability
+    polynomial.  n steps are applied by binary powering of R: about log2(n)
+    vectorized passes instead of n.
     """
     coords = np.asarray(coords, dtype=float)
     s = np.asarray(s, dtype=float)
-    points = np.array(points, dtype=float)
+    points = np.asarray(points, dtype=float)
     if s.ndim != 1 or coords.shape != (len(s), 6) or points.shape != (len(s), 3):
         raise ValueError(
             "flow takes coords (m, 6), s (m,) and points (m, 3), "
@@ -136,19 +110,23 @@ def flow(coords: np.ndarray, s: np.ndarray, points: np.ndarray) -> FlowResult:
     if (wanted > MAX_STEPS).any():
         raise ValueError(f"|s| / step asks for more than {MAX_STEPS} steps")
     n = np.maximum(1, np.ceil(wanted)).astype(np.int64)
-    h = s / n
-    v, w = coords[:, :3], coords[:, 3:]
+    # row j of the top-left block is w x e_j; the bottom row is v
+    a = np.zeros((m, 4, 4))
+    a[:, :3, :3] = np.cross(coords[:, None, 3:], np.eye(3))
+    a[:, 3, :3] = coords[:, :3]
+    q = np.concatenate([points, np.ones((m, 1))], axis=1)[:, None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        # c is the step from the origin; row j of lin is the step of the
-        # homogeneous field w x p from e_j, the linear part of the map
-        c = _rk4_step(v, w, np.zeros((m, 3)), h[:, None])
-        lin = _rk4_step(0.0, w[:, None, :], np.broadcast_to(np.eye(3), (m, 3, 3)), h[:, None, None])
-        # one pass per bit of n: the rows whose bit is set take the map, then
-        # every map is squared (a finished row's may overflow, never applied)
+        # R = I + Z + Z^2/2 + Z^3/6 + Z^4/24, nested
+        z, eye = (s / n)[:, None, None] * a, np.eye(4)
+        r = eye + z @ (eye + z @ (eye + z @ (eye + z / 4) / 3) / 2)
+        # one pass per bit of n: the rows whose bit is set take the step
+        # matrix, then every matrix is squared (a finished row's may
+        # overflow, never applied)
         for bit in range(int(n.max(initial=0)).bit_length()):
             odd = (n >> bit & 1).astype(bool)
-            points[odd] = _vecmat(points[odd], lin[odd]) + c[odd]
-            lin, c = _matmat(lin, lin), _vecmat(c, lin) + c
+            q[odd] = q[odd] @ r[odd]
+            r = r @ r
+    points = q[:, 0, :3]
     bad = ~np.isfinite(points).all(axis=1)
     if bad.any():
         row = int(np.argmax(bad))

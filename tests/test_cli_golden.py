@@ -17,11 +17,15 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
-from numpy._core._multiarray_umath import __cpu_features__
 
 from se3sym.cli import main
 from test_claims import GOLDEN as CLAIMS_GOLDEN, _assert_matches_golden
+
+# numpy's CPU dispatch table; its core module is numpy._core in numpy 2 and
+# numpy.core in numpy 1
+CPU_FEATURES = (getattr(np, "_core", None) or np.core)._multiarray_umath.__cpu_features__
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_stdout.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -56,9 +60,10 @@ _WITHOUT_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 _RUN_ALL = """
 import io, json, sys
 from contextlib import redirect_stdout
-from numpy._core._multiarray_umath import __cpu_features__
+import numpy as np
 from se3sym.cli import main
-assert not any(__cpu_features__[f] for f in ("AVX512_SKX", "AVX512_ICL", "AVX512_SPR"))
+features = (getattr(np, "_core", None) or np.core)._multiarray_umath.__cpu_features__
+assert not any(features[f] for f in ("AVX512_SKX", "AVX512_ICL", "AVX512_SPR"))
 outputs = {}
 for argv in json.loads(sys.argv[1]):
     buffer = io.StringIO()
@@ -70,7 +75,7 @@ print(json.dumps(outputs))
 
 
 @pytest.mark.skipif(
-    not __cpu_features__["AVX512F"], reason="numpy already runs without AVX-512 kernels here"
+    not CPU_FEATURES["AVX512F"], reason="numpy already runs without AVX-512 kernels here"
 )
 def test_goldens_hold_without_avx512_kernels():
     """The default check-claims report and every command above print the

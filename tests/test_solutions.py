@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from se3sym.algebra import AlgebraElement, X1, X4, X6
@@ -330,7 +330,7 @@ def test_verify_invariance_rejects_negative_samples():
 
 
 # ---------------------------------------------------------------------------
-# the affine propagator against the literal step-by-step integrator
+# the step-matrix propagator against the literal step-by-step integrator
 # ---------------------------------------------------------------------------
 
 
@@ -368,8 +368,19 @@ def test_propagator_matches_the_step_loop(coeffs, s, p):
     assert np.abs(got - want).max() <= 1e-11 * max(1.0, np.abs(want).max())
 
 
+def _seeded_rows(count, seed):
+    """count rows drawn as the strategies above draw them, from one seed."""
+    rng = np.random.default_rng(seed)
+    coords, s = rng.uniform(-10, 10, (count, 6)), rng.uniform(-2, 2, count)
+    points = rng.uniform(-1, 1, (count, 3))
+    return [(list(c), float(t), list(p)) for c, t, p in zip(coords, s, points)]
+
+
+# the strategy stops at 12 rows, and matmul may pick other kernels for
+# larger stacks: one batch of 2000 rows checks those too
 @settings(deadline=None, max_examples=30)
 @given(st.lists(st.tuples(coordinates, parameters, box_points), min_size=1, max_size=12))
+@example(_seeded_rows(2000, 39))
 def test_batch_rows_equal_single_flows_bit_for_bit(rows):
     coords = np.array([r[0] for r in rows])
     s = np.array([r[1] for r in rows])
@@ -462,11 +473,20 @@ def test_step_count_beyond_the_limit_is_a_value_error():
     assert time.perf_counter() - start < 0.5
 
 
-def test_non_finite_endpoint_is_a_flow_error():
-    # h|w| = 100 per step: the RK4 step map is unstable and the state overflows
-    element = AlgebraElement.numeric([1, 2, 3, 1e5, 1e5, 1e5])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "coeffs, s",
+    [
+        # h|w| = 100 per step: the RK4 step map is unstable and the state overflows
+        pytest.param([1, 2, 3, 1e5, 1e5, 1e5], 1e3, id="unstable-step"),
+        # the powers of h A inside one step overflow
+        pytest.param([1e200] * 6, 1.0, id="huge-screw"),
+        pytest.param([0, 0, 0, 1e200, 1e200, 1e200], 1.0, id="huge-rotation"),
+    ],
+)
+def test_non_finite_endpoint_is_a_flow_error(coeffs, s):
     with pytest.raises(FlowError):
-        flow_one(element, 1e3, (0.1, 0.2, 0.3))
+        flow_one(AlgebraElement.numeric(coeffs), s, (0.1, 0.2, 0.3))
 
 
 # ---------------------------------------------------------------------------
