@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
@@ -84,16 +83,14 @@ class ClaimsReport(NamedTuple):
 # frozen copies of the published data
 # ---------------------------------------------------------------------------
 
-# commutator table: entry [i][j] holds the coordinates of [X_{i+1}, X_{j+1}]
-_E = lambda k, sign=1: tuple(sign if t == k - 1 else 0 for t in range(6))
-_Z6 = (0,) * 6
-PUBLISHED_COMMUTATORS: Tuple[Tuple[Tuple[int, ...], ...], ...] = (
-    (_Z6, _Z6, _Z6, _Z6, _E(3, -1), _E(2)),
-    (_Z6, _Z6, _Z6, _E(3), _Z6, _E(1, -1)),
-    (_Z6, _Z6, _Z6, _E(2, -1), _E(1), _Z6),
-    (_Z6, _E(3, -1), _E(2), _Z6, _E(6, -1), _E(5)),
-    (_E(3), _Z6, _E(1, -1), _E(6), _Z6, _E(4, -1)),
-    (_E(2, -1), _E(1), _Z6, _E(5, -1), _E(4), _Z6),
+# commutator table as printed: entry [i][j] is [X_{i+1}, X_{j+1}]
+PUBLISHED_COMMUTATORS = (
+    ("0", "0", "0", "0", "-X_3", "X_2"),
+    ("0", "0", "0", "X_3", "0", "-X_1"),
+    ("0", "0", "0", "-X_2", "X_1", "0"),
+    ("0", "-X_3", "X_2", "0", "-X_6", "X_5"),
+    ("X_3", "0", "-X_1", "X_6", "0", "-X_4"),
+    ("-X_2", "X_1", "0", "-X_5", "X_4", "0"),
 )
 
 # one-parameter adjoint matrices, rows = images of basis elements; entries
@@ -179,7 +176,7 @@ def _coords_json(element: AlgebraElement) -> List:
 def _claim_commutator_table() -> Claim:
     table = commutator_table(BASIS)
     matches_published = all(
-        table[i][j].coeffs == tuple(Fraction(t) for t in PUBLISHED_COMMUTATORS[i][j])
+        format_element(table[i][j].coeffs) == PUBLISHED_COMMUTATORS[i][j]
         for i in range(DIM)
         for j in range(DIM)
     )

@@ -145,6 +145,8 @@ x, y, z, u = (JetPolynomial.variable(n) for n in ("x", "y", "z", "u"))
 f_atom = JetPolynomial.variable("f")
 f_prime = JetPolynomial.variable("f'")
 ONE = JetPolynomial.constant(1)
+# u_zz on solutions of the equation, which reduce_on_shell substitutes
+_U_ZZ_ON_SHELL = f_atom - JetPolynomial.variable("u_xx") - JetPolynomial.variable("u_yy")
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +264,7 @@ def second_prolongation(v: PointVectorField) -> Prolongation:
 
 def reduce_on_shell(p: JetPolynomial) -> JetPolynomial:
     """Substitute u_zz = f - u_xx - u_yy (use the equation itself)."""
-    replacement = (
-        f_atom
-        - JetPolynomial.variable("u_xx")
-        - JetPolynomial.variable("u_yy")
-    )
-    return p.substitute("u_zz", replacement)
+    return p.substitute("u_zz", _U_ZZ_ON_SHELL)
 
 
 def invariance_residual(v: PointVectorField) -> JetPolynomial:

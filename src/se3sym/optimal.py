@@ -228,12 +228,13 @@ def canonicalize_screw(x: AlgebraElement) -> ScrewForm:
 
 
 # the case tag by which of v_1, v_2, v_3 are nonzero, bit k for v_{k+1}
-_TAG_BY_PATTERN = ("A11", "A12", "A13", "A15", "A14", "A16", "A17", "A15")
+_TAG_BY_PATTERN = np.array(("A11", "A12", "A13", "A15", "A14", "A16", "A17", "A15"))
+_PATTERN_BITS = np.array([1, 2, 4])
 
 
 def _case_tags(coords: np.ndarray) -> np.ndarray:
     """The case tag of every row."""
-    return np.array(_TAG_BY_PATTERN)[(coords[:, :3] != 0) @ np.array([1, 2, 4])]
+    return _TAG_BY_PATTERN[(coords[:, :3] != 0) @ _PATTERN_BITS]
 
 
 def _recipe(tag: str, coords: np.ndarray):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from se3sym.algebra import DIM, SE3, AlgebraElement, X1, X2, X3, X4, X5, X6, bracket
+from se3sym.algebra import DIM, SE3, AlgebraElement, X1, X2, X3, X4, X5, X6, basis_element, bracket
 from se3sym import adjoint
 from se3sym.adjoint import (
     AdjointWord,
@@ -27,7 +27,8 @@ SIGMAS = np.linspace(-math.pi, math.pi, 50)
 
 # Float references: ad X_i and (ad X_i)^2 as float tables, and the
 # closed form built by one rule for translations and another for rotations.
-# The module holds int tables and one rule; its floats must equal these.
+# The module holds the transposed tables and one rule; its floats must equal
+# these.
 _AD_REF = {i: np.array(ad_matrix(x), dtype=float) for i, x in enumerate((X1, X2, X3, X4, X5, X6), 1)}
 _AD2_REF = {i: ad @ ad for i, ad in _AD_REF.items()}
 
@@ -103,6 +104,19 @@ def test_ad_matrix_columns_are_brackets_with_the_basis():
         matrix = ad_matrix(x)
         assert matrix == tuple(tuple(columns[j][k] for j in range(DIM)) for k in range(DIM))
         assert all(type(v) is Fraction for row in matrix for v in row)
+
+
+def test_ad_tables_are_contiguous_float_transposes():
+    """The kernel's tables hold (ad X_i)^T and ((ad X_i)^2)^T as C-contiguous
+    float64, every entry -1, 0 or 1."""
+    for table in (adjoint._AD_T, adjoint._AD2_T):
+        assert table.dtype == np.float64 and table.flags.c_contiguous
+        assert table.shape == (DIM, DIM, DIM)
+        assert set(np.unique(table).tolist()) <= {-1.0, 0.0, 1.0}
+    for i in range(1, DIM + 1):
+        ad = np.array(ad_matrix(basis_element(i)), dtype=object)
+        assert np.array_equal(adjoint._AD_T[i - 1], ad.T)
+        assert np.array_equal(adjoint._AD2_T[i - 1], (ad @ ad).T)
 
 
 def test_series_translation_terminates():
@@ -232,14 +246,14 @@ def test_closed_form_builds_a_matrix_per_call():
 def test_closed_form_checks_its_identity(monkeypatch, i):
     """A translation's ad^2 must vanish and a rotation's ad^3 equal -ad;
     a table that breaks either makes the closed form raise."""
-    broken = adjoint._AD2_INT.copy()
+    broken = adjoint._AD2_T.copy()
     if i <= 3:
         broken[i - 1, 0, 0] = 1
         message = r"^translation generator does not satisfy ad\^2 = 0$"
     else:
         broken[i - 1] = 0
         message = r"^rotation generator does not satisfy ad\^3 = -ad$"
-    monkeypatch.setattr(adjoint, "_AD2_INT", broken)
+    monkeypatch.setattr(adjoint, "_AD2_T", broken)
     with pytest.raises(AssertionError, match=message):
         closed_form(i)
     others = [j for j in range(1, 7) if j != i]
